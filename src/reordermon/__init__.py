@@ -25,10 +25,8 @@ from .traceio import (
     PacketArrays,
     SynthConfig,
     TraceMeta,
-    generate_synthetic,
     generate_synthetic_arrays,
     parse_trace,
-    serialize_trace,
 )
 
 __all__ = [
@@ -56,11 +54,9 @@ __all__ = [
     "TraceMeta",
     "TraceStats",
     "compute_stats",
-    "generate_synthetic",
     "generate_synthetic_arrays",
     "ground_truth",
     "is_out_of_order",
     "parse_trace",
     "prefix_of",
-    "serialize_trace",
 ]

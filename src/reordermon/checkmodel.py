@@ -200,10 +200,3 @@ def empirical_guarantee(model: CheckModel, trials: int, seed: int = 0) -> Guaran
         mean_checks=float(counts.mean()),
         vacuous=bound >= 1.0,
     )
-
-
-def mean_flow_checks(model: CheckModel, flow: int, trials: int, seed: int = 0) -> float:
-    """Average per-trial checks of one flow (for sensitivity comparisons,
-    e.g. how much an added heavy flow costs the small flows in its bucket)."""
-    per_flow = simulate_flow_checks(model, trials, seed)
-    return float(per_flow[:, flow].mean())

@@ -191,32 +191,31 @@ LEMMA_OPTS = (
 
 
 def _spec_from(resolved: dict[str, object], algorithm: Optional[str] = None) -> ExperimentSpec:
-    def_num = resolved["def"]
-    if def_num not in DEF_BY_NUMBER:
+    if resolved["def"] not in DEF_BY_NUMBER:
         raise UsageError("--def must be 1 or 2")
-    algo = algorithm if algorithm is not None else resolved["algo"]
-    if algo not in ("array", "hh", "hybrid"):
-        raise UsageError("--algo must be array, hh, or hybrid")
-    return ExperimentSpec(
-        algorithm=algo,
-        reorder_def=DEF_BY_NUMBER[def_num],
-        bucket_counts=resolved["buckets"],
-        hh_fractions=resolved["hh_fraction"],
-        seeds=resolved["seeds"],
-        stale_after=resolved["T"],
-        max_packets=resolved["C"],
-        report_threshold=resolved["R"],
-        hh_report_fraction=resolved["r_hh"],
-        hh_stages=resolved["d"],
-        min_report_packets=resolved["min_report_packets"],
-        report_all=resolved["report_all"],
-        alpha=resolved["alpha"],
-        beta=resolved["beta"],
-        eps=resolved["eps"],
-        scale_c=resolved["c"],
-        mode=resolved["mode"],
-        filter_by_prefix=resolved["filter_by_prefix"],
-    )
+    try:
+        return ExperimentSpec(
+            algorithm=algorithm if algorithm is not None else resolved["algo"],
+            reorder_def=DEF_BY_NUMBER[resolved["def"]],
+            bucket_counts=resolved["buckets"],
+            hh_fractions=resolved["hh_fraction"],
+            seeds=resolved["seeds"],
+            stale_after=resolved["T"],
+            max_packets=resolved["C"],
+            report_threshold=resolved["R"],
+            hh_report_fraction=resolved["r_hh"],
+            hh_stages=resolved["d"],
+            min_report_packets=resolved["min_report_packets"],
+            report_all=resolved["report_all"],
+            alpha=resolved["alpha"],
+            beta=resolved["beta"],
+            eps=resolved["eps"],
+            scale_c=resolved["c"],
+            mode=resolved["mode"],
+            filter_by_prefix=resolved["filter_by_prefix"],
+        )
+    except ValueError as exc:  # bad parameter values, found before any trace is read
+        raise UsageError(str(exc)) from exc
 
 
 # --- subcommand handlers --------------------------------------------------------

@@ -11,14 +11,14 @@ import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .checkmodel import CheckModel
 from .controlplane import AggregatorMode, AggregatorParams, ReportAggregator
 from .heavyhitter import HHParams, ReorderHeavyHitter
 from .hybrid import HybridDetector, HybridParams
 from .metrics import EvalResult, accuracy, communication_overhead, false_positive_rate
-from .model import PacketRecord, Prefix, ReorderDef
+from .model import Prefix, ReorderDef
 from .oracle import (
     TraceStats,
     UndefinedCorrelationError,
@@ -69,22 +69,23 @@ class ExperimentSpec:
             raise ValueError(f"unknown algorithm {self.algorithm!r}")
         if self.alpha >= self.beta:
             raise ValueError("alpha must be smaller than beta")
+        if not 0.0 < self.eps < 1.0:
+            raise ValueError("eps must lie in (0, 1)")
+        # build every parameter set a run uses, so a bad value fails here,
+        # before any trace is read
+        aggregator_params(self)
+        for buckets in self.bucket_counts:
+            for x in self.fractions:
+                detector_params(self, buckets, x, seed=0)
+
+    @property
+    def fractions(self) -> tuple[float, ...]:
+        """HH memory fractions to run; NaN stands for "not a hybrid"."""
+        return self.hh_fractions if self.algorithm == "hybrid" else (math.nan,)
 
 
 def load_trace_arrays(path: str | Path) -> PacketArrays:
-    records, _ = parse_trace(path)
-    return PacketArrays.from_records(records)
-
-
-def iter_records(arrays: PacketArrays) -> Iterator[PacketRecord]:
-    flows = [arrays.flow(fid) for fid in range(arrays.flow_count)]
-    for fid, seq, length, ts in zip(
-        arrays.flow_id.tolist(),
-        arrays.seq.tolist(),
-        arrays.payload_len.tolist(),
-        arrays.ts.tolist(),
-    ):
-        yield PacketRecord(flows[fid], seq, length, ts)
+    return parse_trace(path)[0]
 
 
 def sampler_params(spec: ExperimentSpec, buckets: int, seed: int) -> SamplerParams:
@@ -111,6 +112,29 @@ def hh_params(spec: ExperimentSpec, buckets_per_stage: int, seed: int) -> HHPara
     )
 
 
+def detector_params(
+    spec: ExperimentSpec, buckets: int, hh_fraction: float, seed: int
+) -> SamplerParams | HHParams | HybridParams:
+    """Parameters of the ``spec.algorithm`` detector at one configuration."""
+    if spec.algorithm == "array":
+        return sampler_params(spec, buckets, seed)
+    if spec.algorithm == "hh":
+        return hh_params(spec, max(1, buckets // spec.hh_stages), seed)
+    return HybridParams(
+        total_buckets=buckets,
+        hh_fraction=hh_fraction,
+        sampler=sampler_params(spec, buckets, seed),
+        hh=hh_params(spec, 1, seed),
+        filter_by_prefix=spec.filter_by_prefix,
+    )
+
+
+def aggregator_params(spec: ExperimentSpec) -> AggregatorParams:
+    return AggregatorParams(
+        min_packets=spec.alpha, eps=spec.eps, scale=spec.scale_c, mode=spec.mode
+    )
+
+
 def collect_reports(
     arrays: PacketArrays,
     spec: ExperimentSpec,
@@ -120,34 +144,21 @@ def collect_reports(
 ) -> list[Report]:
     """Stream the trace through one freshly built detector; eviction reports
     followed by the end-of-interval flush."""
+    params = detector_params(spec, buckets, hh_fraction, seed)
     if spec.algorithm == "array":
-        detector = FlowSamplingArray(sampler_params(spec, buckets, seed))
+        detector = FlowSamplingArray(params)
         reports = detector.process_trace(arrays)
-        reports.extend(detector.flush())
-        return reports
-    if spec.algorithm == "hh":
-        per_stage = max(1, buckets // spec.hh_stages)
-        hh = ReorderHeavyHitter(hh_params(spec, per_stage, seed))
-        reports = []
-        for pkt in iter_records(arrays):
-            _, report = hh.process_packet(pkt)
-            if report is not None:
-                reports.append(report)
-        reports.extend(hh.flush())
-        return reports
-    hybrid = HybridDetector(
-        HybridParams(
-            total_buckets=buckets,
-            hh_fraction=hh_fraction,
-            sampler=sampler_params(spec, buckets, seed),
-            hh=hh_params(spec, 1, seed),
-            filter_by_prefix=spec.filter_by_prefix,
-        )
-    )
-    reports = []
-    for pkt in iter_records(arrays):
-        reports.extend(hybrid.process_packet(pkt))
-    reports.extend(hybrid.flush())
+    elif spec.algorithm == "hh":
+        detector = ReorderHeavyHitter(params)
+        reports = [
+            rep
+            for pkt in arrays.iter_records()
+            if (rep := detector.process_packet(pkt)[1]) is not None
+        ]
+    else:
+        detector = HybridDetector(params)
+        reports = [rep for pkt in arrays.iter_records() for rep in detector.process_packet(pkt)]
+    reports.extend(detector.flush())
     return reports
 
 
@@ -180,11 +191,7 @@ def evaluate_reports(
     """Aggregate the report stream and score it against the ground truth."""
     aggregator = ReportAggregator()
     aggregator.ingest_all(reports)
-    output = aggregator.finalize(
-        AggregatorParams(
-            min_packets=spec.alpha, eps=spec.eps, scale=spec.scale_c, mode=spec.mode
-        )
-    )
+    output = aggregator.finalize(aggregator_params(spec))
     return EvalResult(
         accuracy=accuracy(output, beta_set),
         false_positive_rate=false_positive_rate(output, alpha_set),
@@ -243,10 +250,9 @@ def run_experiment(
     if stats is None:
         stats = compute_stats(arrays)
     beta_set, alpha_set = truth_sets(stats, spec)
-    fractions = spec.hh_fractions if spec.algorithm == "hybrid" else (float("nan"),)
     results = []
     for buckets in spec.bucket_counts:
-        for x in fractions:
+        for x in spec.fractions:
             for seed in spec.seeds:
                 reports = collect_reports(arrays, spec, buckets, x, seed)
                 results.append(

@@ -11,11 +11,11 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from dataclasses import dataclass, field
-from typing import Sequence, Union
+from typing import Sequence
 
 import numpy as np
 
-from .model import FlowId, PacketRecord, Prefix, PREFIX_MASK, ReorderDef
+from .model import FlowId, Prefix, PREFIX_MASK, ReorderDef
 from .traceio import PacketArrays
 
 
@@ -57,31 +57,17 @@ _DEF1 = ReorderDef.DEF1_DECREASE
 _DEF2 = ReorderDef.DEF2_GAP
 _DEF3 = ReorderDef.DEF3_BELOW_MAX
 
-Trace = Union[Sequence[PacketRecord], PacketArrays]
 
-
-def _iter_packets(trace: Trace):
-    """Yield (flow key, seq, payload_len, ts); keys are ints for arrays."""
-    if isinstance(trace, PacketArrays):
-        return zip(
-            trace.flow_id.tolist(),
-            trace.seq.tolist(),
-            trace.payload_len.tolist(),
-            trace.ts.tolist(),
-        )
-    return ((r.flow, r.seq, r.payload_len, r.ts) for r in trace)
-
-
-def compute_stats(trace: Trace) -> TraceStats:
-    """One pass over the trace, exact counters for DEF1/DEF2/DEF3."""
-    # state per flow: [n, o1, o2, o3, last_seq, expected_next, max_seq]
-    state: dict = {}
-    packet_count = 0
-    for key, seq, length, _ts in _iter_packets(trace):
-        packet_count += 1
-        st = state.get(key)
+def compute_stats(arrays: PacketArrays) -> TraceStats:
+    """One pass over the trace's columns, exact counters for DEF1/DEF2/DEF3."""
+    # state per flow id: [n, o1, o2, o3, last_seq, expected_next, max_seq]
+    state: dict[int, list[int]] = {}
+    for fid, seq, length in zip(
+        arrays.flow_id.tolist(), arrays.seq.tolist(), arrays.payload_len.tolist()
+    ):
+        st = state.get(fid)
         if st is None:
-            state[key] = [1, 0, 0, 0, seq, seq + length, seq]
+            state[fid] = [1, 0, 0, 0, seq, seq + length, seq]
             continue
         if seq < st[4]:
             st[1] += 1
@@ -96,12 +82,8 @@ def compute_stats(trace: Trace) -> TraceStats:
         st[5] = seq + length
 
     flows: dict[FlowId, FlowStats] = {}
-    if isinstance(trace, PacketArrays):
-        resolve = trace.flow
-    else:
-        resolve = lambda key: key  # records already carry FlowId keys
-    for key, st in state.items():
-        flow = resolve(key)
+    for fid, st in state.items():
+        flow = arrays.flow(fid)
         flows[flow] = FlowStats(flow, st[0], {_DEF1: st[1], _DEF2: st[2], _DEF3: st[3]})
 
     prefixes: dict[Prefix, PrefixStats] = {}
@@ -115,7 +97,7 @@ def compute_stats(trace: Trace) -> TraceStats:
             ps.flow_count += 1
             for d in (_DEF1, _DEF2, _DEF3):
                 ps.ooo[d] += fs.ooo[d]
-    return TraceStats(flows, prefixes, packet_count)
+    return TraceStats(flows, prefixes, len(arrays))
 
 
 def ground_truth(
@@ -134,19 +116,6 @@ def ground_truth(
     )
     small = frozenset(ps.prefix for ps in stats.prefixes.values() if ps.n <= alpha)
     return GroundTruth(heavy, small)
-
-
-def heavy_set_stream_share(
-    stats: TraceStats, eps: float, beta: int, def_: ReorderDef
-) -> frozenset[Prefix]:
-    """Alternative heaviness rule: a prefix is heavy when its out-of-order
-    count exceeds ``eps`` times the stream-wide out-of-order total."""
-    total = sum(ps.ooo[def_] for ps in stats.prefixes.values())
-    return frozenset(
-        ps.prefix
-        for ps in stats.prefixes.values()
-        if ps.n >= beta and ps.ooo[def_] > eps * total
-    )
 
 
 def eligible_flows(stats: TraceStats) -> list[FlowStats]:
@@ -252,14 +221,19 @@ class InterarrivalHistogram:
     def2_ooo: GapDistribution
 
 
-def interarrival_histogram(trace: Trace) -> InterarrivalHistogram:
+def interarrival_histogram(arrays: PacketArrays) -> InterarrivalHistogram:
     """Classify every non-first packet by its reorder outcome and bin the
     gap to its same-flow predecessor.  DEF1 and DEF2 are mutually exclusive
     per packet pair, so the three distributions partition the packets."""
     hist = InterarrivalHistogram(GapDistribution(), GapDistribution(), GapDistribution())
-    state: dict = {}  # flow key -> [last_seq, expected_next, last_ts]
-    for key, seq, length, ts in _iter_packets(trace):
-        st = state.get(key)
+    state: dict = {}  # flow id -> [last_seq, expected_next, last_ts]
+    for fid, seq, length, ts in zip(
+        arrays.flow_id.tolist(),
+        arrays.seq.tolist(),
+        arrays.payload_len.tolist(),
+        arrays.ts.tolist(),
+    ):
+        st = state.get(fid)
         if st is not None:
             gap = ts - st[2]
             if seq < st[0]:
@@ -272,7 +246,7 @@ def interarrival_histogram(trace: Trace) -> InterarrivalHistogram:
             st[1] = seq + length
             st[2] = ts
         else:
-            state[key] = [seq, seq + length, ts]
+            state[fid] = [seq, seq + length, ts]
     return hist
 
 

@@ -8,18 +8,18 @@ standard preprocessing: zero-payload rows are dropped (sequence numbers
 cannot advance without payload) and ``filter_server_to_client`` keeps the
 server-to-client direction using a port heuristic.
 
-``PacketArrays`` is the columnar twin of a list of ``PacketRecord``; the
-batch detector path and the generator work on it directly so multi-million
-packet traces stay cheap.
+``PacketArrays`` is the one trace representation: ingestion, the generator,
+the oracle and the batch detector path all work on its columns, so
+multi-million packet traces stay cheap.  ``PacketArrays.iter_records``
+gives the per-packet view the reference detectors consume.
 """
 
 from __future__ import annotations
 
-import io
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import IO, Iterable, Union
+from typing import IO, Iterable, Iterator, Union
 
 import numpy as np
 
@@ -112,99 +112,109 @@ class PacketArrays:
             flow_dst_port=np.asarray([f.dst_port for f in flows], dtype=np.int64),
         )
 
-    def to_records(self) -> list[PacketRecord]:
+    def iter_records(self) -> Iterator[PacketRecord]:
+        """Per-packet view for the reference detectors, in trace order."""
         flows = [self.flow(fid) for fid in range(self.flow_count)]
-        out = []
         for fid, seq, length, ts in zip(
             self.flow_id.tolist(),
             self.seq.tolist(),
             self.payload_len.tolist(),
             self.ts.tolist(),
         ):
-            out.append(PacketRecord(flows[fid], seq, length, ts))
-        return out
+            yield PacketRecord(flows[fid], seq, length, ts)
 
 
 Source = Union[str, Path, IO[str]]
 
+_SEQ_LIMIT = 1 << 32  # seq and payload_len are 32-bit TCP quantities
+
 
 def _open_text(source: Source) -> tuple[IO[str], bool]:
     if isinstance(source, (str, Path)):
-        return open(source, "r", encoding="ascii"), True
+        # a non-ASCII byte becomes a lone surrogate and fails row validation
+        # with its line number, not as a bare UnicodeDecodeError
+        return open(source, "r", encoding="ascii", errors="surrogateescape"), True
     return source, False
 
 
-def parse_trace(source: Source) -> tuple[list[PacketRecord], TraceMeta]:
-    """Read the canonical CSV into records, dropping zero-payload rows.
+def parse_trace(source: Source) -> tuple[PacketArrays, TraceMeta]:
+    """Read the canonical CSV into columns, dropping zero-payload rows.
 
-    Raises ``TraceFormatError`` (with a line number) on malformed rows and
-    on decreasing timestamps.
+    Raises ``TraceFormatError`` (with a line number) on malformed rows,
+    non-canonical numbers (a sign, whitespace, an underscore, a control or a
+    non-ASCII character, which ``int``/``float`` would quietly accept),
+    non-finite or decreasing timestamps, and seq or payload_len outside
+    [0, 2^32).
     """
     handle, owned = _open_text(source)
     try:
         header = handle.readline().rstrip("\n")
         if header != TRACE_HEADER:
             raise TraceFormatError(f"line 1: expected header {TRACE_HEADER!r}")
-        records: list[PacketRecord] = []
-        flows: set[FlowId] = set()
-        prefixes: set[int] = set()
-        prev_ts = -math.inf
-        for lineno, line in enumerate(handle, start=2):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            parts = line.split(",")
-            if len(parts) != 7:
-                raise TraceFormatError(f"line {lineno}: expected 7 fields, got {len(parts)}")
-            try:
-                ts = float(parts[0])
-                src_ip = ip_to_int(parts[1])
-                dst_ip = ip_to_int(parts[2])
-                src_port = int(parts[3])
-                dst_port = int(parts[4])
-                seq = int(parts[5])
-                payload_len = int(parts[6])
-            except ValueError as exc:
-                raise TraceFormatError(f"line {lineno}: {exc}") from exc
-            if seq < 0 or payload_len < 0:
-                raise TraceFormatError(f"line {lineno}: negative seq or payload_len")
-            if not (0 <= src_port <= 0xFFFF and 0 <= dst_port <= 0xFFFF):
-                raise TraceFormatError(f"line {lineno}: port out of range")
-            if ts < prev_ts:
-                raise TraceFormatError(f"line {lineno}: decreasing timestamp")
-            prev_ts = ts
-            if payload_len == 0:
-                continue
-            flow = FlowId(src_ip, dst_ip, src_port, dst_port)
-            records.append(PacketRecord(flow, seq, payload_len, ts))
-            flows.add(flow)
-            prefixes.add(src_ip & PREFIX_MASK)
-        duration = records[-1].ts - records[0].ts if len(records) >= 2 else 0.0
-        meta = TraceMeta(len(records), len(flows), len(prefixes), duration)
-        return records, meta
+        arrays = PacketArrays.from_records(_read_rows(handle))
     finally:
         if owned:
             handle.close()
+    return arrays, arrays.meta()
 
 
-def serialize_trace(records: Iterable[PacketRecord], dest: IO[str]) -> None:
-    """Write records in the canonical CSV form; round-trips exactly."""
-    dest.write(TRACE_HEADER + "\n")
-    for rec in records:
-        dest.write(
-            f"{rec.ts!r},{int_to_ip(rec.flow.src_ip)},{int_to_ip(rec.flow.dst_ip)},"
-            f"{rec.flow.src_port},{rec.flow.dst_port},{rec.seq},{rec.payload_len}\n"
-        )
+def _read_rows(handle: IO[str]) -> Iterator[PacketRecord]:
+    """Validated records of the data rows after the header."""
+    flows: dict[tuple[str, ...], FlowId] = {}  # each flow's fields are parsed once
+    prev_ts = -math.inf
+    for lineno, line in enumerate(handle, start=2):
+        line = line.rstrip("\n")
+        if not line:
+            continue
+        parts = line.split(",")
+        if len(parts) != 7:
+            raise TraceFormatError(f"line {lineno}: expected 7 fields, got {len(parts)}")
+        key = tuple(parts[1:5])
+        try:
+            ts = float(parts[0])
+            seq = int(parts[5])
+            payload_len = int(parts[6])
+            flow = flows.get(key)
+            if flow is None:
+                flow = flows[key] = _parse_flow(*key)
+        except ValueError as exc:
+            raise TraceFormatError(f"line {lineno}: {exc}") from exc
+        if not (0 <= seq < _SEQ_LIMIT and 0 <= payload_len < _SEQ_LIMIT):
+            raise TraceFormatError(
+                f"line {lineno}: seq or payload_len negative or not below 2^32"
+            )
+        # a '-' is canonical only in the timestamp (e.g. 1e-05); negative
+        # integers were rejected above, so one here is a "-0"
+        if (
+            not line.isascii()
+            or not line.isprintable()
+            or "+" in line
+            or "_" in line
+            or " " in line
+            or ("-" in line and "-" in line.partition(",")[2])
+        ):
+            raise TraceFormatError(
+                f"line {lineno}: non-canonical field (sign, whitespace, underscore, "
+                "control or non-ASCII character)"
+            )
+        if not math.isfinite(ts):
+            raise TraceFormatError(f"line {lineno}: non-finite timestamp")
+        if ts < prev_ts:
+            raise TraceFormatError(f"line {lineno}: decreasing timestamp")
+        prev_ts = ts
+        if payload_len:
+            yield PacketRecord(flow, seq, payload_len, ts)
 
 
-def trace_to_string(records: Iterable[PacketRecord]) -> str:
-    buf = io.StringIO()
-    serialize_trace(records, buf)
-    return buf.getvalue()
+def _parse_flow(src_ip: str, dst_ip: str, src_port: str, dst_port: str) -> FlowId:
+    flow = FlowId(ip_to_int(src_ip), ip_to_int(dst_ip), int(src_port), int(dst_port))
+    if not (0 <= flow.src_port <= 0xFFFF and 0 <= flow.dst_port <= 0xFFFF):
+        raise ValueError("port out of range")
+    return flow
 
 
-def write_trace_csv(arrays: "PacketArrays", dest: IO[str]) -> None:
-    """Columnar twin of ``serialize_trace``; same byte-for-byte format."""
+def write_trace_csv(arrays: PacketArrays, dest: IO[str]) -> None:
+    """Write the canonical CSV; ``parse_trace`` reads it back exactly."""
     src = [int_to_ip(ip) for ip in arrays.flow_src_ip.tolist()]
     dst = [int_to_ip(ip) for ip in arrays.flow_dst_ip.tolist()]
     sport = arrays.flow_src_port.tolist()
@@ -221,13 +231,21 @@ def write_trace_csv(arrays: "PacketArrays", dest: IO[str]) -> None:
         )
 
 
-def filter_server_to_client(records: Iterable[PacketRecord]) -> list[PacketRecord]:
+def filter_server_to_client(arrays: PacketArrays) -> PacketArrays:
     """Keep the server-to-client direction.
 
-    Heuristic: service ports are numerically low, so a record is kept iff
-    ``src_port < dst_port``.  Ties are dropped (direction undecidable).
+    Heuristic: service ports are numerically low, so a packet is kept iff
+    its flow has ``src_port < dst_port``.  Ties are dropped (direction
+    undecidable).  The flow tables are kept as they are.
     """
-    return [r for r in records if r.flow.src_port < r.flow.dst_port]
+    keep = (arrays.flow_src_port < arrays.flow_dst_port)[arrays.flow_id]
+    return replace(
+        arrays,
+        ts=arrays.ts[keep],
+        seq=arrays.seq[keep],
+        payload_len=arrays.payload_len[keep],
+        flow_id=arrays.flow_id[keep],
+    )
 
 
 def flow_key_str(flow: FlowId) -> str:
@@ -418,11 +436,3 @@ def generate_synthetic_arrays(cfg: SynthConfig) -> tuple[PacketArrays, np.ndarra
     )
     injected = np.add.reduceat(displaced.astype(np.int64), starts)
     return arrays, injected
-
-
-def generate_synthetic(cfg: SynthConfig) -> tuple[list[PacketRecord], dict[FlowId, int]]:
-    """Record-level view of ``generate_synthetic_arrays``."""
-    arrays, injected = generate_synthetic_arrays(cfg)
-    records = arrays.to_records()
-    sidecar = {arrays.flow(fid): int(injected[fid]) for fid in range(arrays.flow_count)}
-    return records, sidecar

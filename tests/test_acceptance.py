@@ -22,7 +22,7 @@ from reordermon.hybrid import HybridDetector, HybridParams
 from reordermon.model import Prefix, ReorderDef
 from reordermon.oracle import compute_stats, mean_pearson_correlation
 from reordermon.sampling import FlowSamplingArray, SamplerParams
-from reordermon.traceio import SynthConfig, generate_synthetic_arrays
+from reordermon.traceio import PacketArrays, SynthConfig, generate_synthetic_arrays
 
 from conftest import random_trace
 from test_oracle import quadratic_recount
@@ -87,7 +87,7 @@ def test_c01_oracle_exactness_on_randomized_traces() -> None:
         records = random_trace(
             1000 + seed, n_packets=2000, n_flows=25, n_prefixes=6, burstiness=0.5
         )
-        stats = compute_stats(records)
+        stats = compute_stats(PacketArrays.from_records(records))
         expected = quadratic_recount(records)
         assert set(stats.flows) == set(expected)
         for flow, (n, o1, o2, o3) in expected.items():
@@ -157,7 +157,7 @@ def test_c03_degenerate_hybrid_is_bitwise_identical() -> None:
         bad_reorder_prob=0.06, mean_flow_size=48,
     )
     arrays, _ = generate_synthetic_arrays(cfg)
-    records = arrays.to_records()
+    records = list(arrays.iter_records())
     total_buckets = 64
     sampler = SamplerParams(n_buckets=total_buckets, hash_seed=7)
     hh = HHParams(n_stages=2, buckets_per_stage=1, hash_seed=7, rng_seed=7)
@@ -200,7 +200,7 @@ def test_c04_per_packet_access_budget() -> None:
     ]
     cfg = SynthConfig(n_prefixes=128, seed=31, duration_seconds=1.0, bad_prefix_fraction=0.2)
     arrays, _ = generate_synthetic_arrays(cfg)
-    traces.append(arrays.to_records())
+    traces.append(list(arrays.iter_records()))
     for i, records in enumerate(traces):
         array = FlowSamplingArray(SamplerParams(n_buckets=8, stale_after=1e-4, hash_seed=i))
         for rec in records:

@@ -143,6 +143,12 @@ def test_bad_flag_value_is_usage_error(trace_path: Path, tmp_path: Path) -> None
         "--def", "7",
     )
     assert code == 1
+    # parameter values are checked before the trace is read: a missing
+    # trace would otherwise exit 2
+    for flags in (("--buckets", "0"), ("--C", "0"), ("--alpha", "200", "--beta", "100")):
+        for trace in (trace_path, tmp_path / "missing.csv"):
+            code = run_cli("run", "--trace", str(trace), "--out", str(tmp_path / "o"), *flags)
+            assert code == 1, flags
 
 
 def test_data_error_exit_code(tmp_path: Path) -> None:

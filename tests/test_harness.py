@@ -142,13 +142,13 @@ def test_grid_search_requires_hybrid(small_workload: PacketArrays) -> None:
 def test_collect_reports_paths_agree_for_array(small_workload: PacketArrays) -> None:
     # the array path goes through the batch implementation; spot-check its
     # report count against a per-packet run of the same parameters
-    from reordermon.harness import iter_records, sampler_params
+    from reordermon.harness import sampler_params
     from reordermon.sampling import FlowSamplingArray
 
     spec = ExperimentSpec(algorithm="array", bucket_counts=(16,), seeds=(4,))
     fast = collect_reports(small_workload, spec, 16, 0.0, 4)
     ref = FlowSamplingArray(sampler_params(spec, 16, 4))
-    slow = [r for pkt in iter_records(small_workload) if (r := ref.process_packet(pkt))]
+    slow = [r for pkt in small_workload.iter_records() if (r := ref.process_packet(pkt))]
     slow.extend(ref.flush())
     assert fast == slow
 

@@ -15,6 +15,7 @@ from reordermon.model import (
     prefix_of,
 )
 from reordermon.reports import Report, ReportSource
+from reordermon.traceio import PacketArrays
 
 from conftest import random_trace
 
@@ -221,7 +222,7 @@ def test_single_flow_matches_oracle_minus_first_packet() -> None:
     for rec in records:
         hh.process_packet(rec)
     entry = hh._stages[0][0]
-    fs = compute_stats(records).flows[FA1]
+    fs = compute_stats(PacketArrays.from_records(records)).flows[FA1]
     assert entry.n == fs.n - 1
     assert entry.o == fs.ooo[DEF1]
 

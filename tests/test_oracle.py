@@ -14,12 +14,11 @@ from reordermon.oracle import (
     eligible_flows,
     flow_size_reorder_breakdown,
     ground_truth,
-    heavy_set_stream_share,
     interarrival_histogram,
     mean_pearson_correlation,
     pearson_correlation,
 )
-from reordermon.traceio import SynthConfig, generate_synthetic_arrays
+from reordermon.traceio import PacketArrays, SynthConfig, generate_synthetic_arrays
 
 from conftest import make_flow, random_trace
 
@@ -58,14 +57,16 @@ def merge(*streams: list[PacketRecord]) -> list[PacketRecord]:
 
 
 def test_in_order_flow_has_zero_counts() -> None:
-    stats = compute_stats(flow_packets(make_flow(0), [1000, 1100, 1200]))
+    records = flow_packets(make_flow(0), [1000, 1100, 1200])
+    stats = compute_stats(PacketArrays.from_records(records))
     fs = next(iter(stats.flows.values()))
     assert fs.n == 3
     assert fs.ooo == {DEF1: 0, DEF2: 0, DEF3: 0}
 
 
 def test_single_swap_counts_once_under_each_definition() -> None:
-    stats = compute_stats(flow_packets(make_flow(0), [1000, 1200, 1100]))
+    records = flow_packets(make_flow(0), [1000, 1200, 1100])
+    stats = compute_stats(PacketArrays.from_records(records))
     fs = next(iter(stats.flows.values()))
     assert fs.ooo[DEF1] == 1  # 1100 < 1200
     assert fs.ooo[DEF2] == 1  # 1200 > 1100 expected
@@ -77,9 +78,9 @@ def test_matches_quadratic_recount_on_random_traces() -> None:
     synthetic, _ = generate_synthetic_arrays(
         SynthConfig(n_prefixes=24, seed=66, duration_seconds=1.0, bad_prefix_fraction=0.3)
     )
-    traces.append(synthetic.to_records())
+    traces.append(list(synthetic.iter_records()))
     for records in traces:
-        stats = compute_stats(records)
+        stats = compute_stats(PacketArrays.from_records(records))
         expected = quadratic_recount(records)
         assert set(stats.flows) == set(expected)
         for flow, (n, o1, o2, o3) in expected.items():
@@ -89,7 +90,7 @@ def test_matches_quadratic_recount_on_random_traces() -> None:
 
 def test_prefix_sums_and_def1_le_def3() -> None:
     records = random_trace(42, n_packets=800, n_flows=10, n_prefixes=4)
-    stats = compute_stats(records)
+    stats = compute_stats(PacketArrays.from_records(records))
     assert sum(ps.n for ps in stats.prefixes.values()) == stats.packet_count == len(records)
     for def_ in (DEF1, DEF2, DEF3):
         assert sum(ps.ooo[def_] for ps in stats.prefixes.values()) == sum(
@@ -99,18 +100,6 @@ def test_prefix_sums_and_def1_le_def3() -> None:
         assert fs.ooo[DEF1] <= fs.ooo[DEF3]
         for def_ in (DEF1, DEF2, DEF3):
             assert 0 <= fs.ooo[def_] < fs.n
-
-
-def test_stats_same_for_records_and_arrays() -> None:
-    from reordermon.traceio import PacketArrays
-
-    records = random_trace(7, n_packets=300)
-    a = compute_stats(records)
-    b = compute_stats(PacketArrays.from_records(records))
-    assert a.packet_count == b.packet_count
-    assert {f: (s.n, s.ooo[DEF1], s.ooo[DEF2], s.ooo[DEF3]) for f, s in a.flows.items()} == {
-        f: (s.n, s.ooo[DEF1], s.ooo[DEF2], s.ooo[DEF3]) for f, s in b.flows.items()
-    }
 
 
 def _stats_with_prefixes(entries: list[tuple[int, int, int]]) -> TraceStats:
@@ -142,14 +131,6 @@ def test_ground_truth_small_exemption_and_validation() -> None:
         ground_truth(stats, eps=0.01, alpha=128, beta=128, def_=DEF1)
 
 
-def test_stream_share_variant_differs_from_per_prefix_rule() -> None:
-    stats = _stats_with_prefixes([(1000, 90, 2), (1000, 15, 2), (200, 1, 2)])
-    per_prefix = ground_truth(stats, 0.01, 16, 128, DEF1).heavy_set
-    share = heavy_set_stream_share(stats, 0.05, 128, DEF1)
-    assert len(per_prefix) == 2  # 90 > 10 and 15 > 10
-    assert len(share) == 2  # 90 and 15 both exceed 0.05 * 106, 1 does not
-
-
 def two_flow_prefix(i: int, seqs: list[int]) -> list[PacketRecord]:
     prefix = 0x0A000000 + (i << 8)
     a = FlowId(prefix | 1, 0xAC100001, 443, 10000)
@@ -165,20 +146,21 @@ def test_pcc_perfect_linear_correlation() -> None:
         two_flow_prefix(1, [1000, 1200, 1100, 1300]),          # 1 event
         two_flow_prefix(2, [1000, 1200, 1100, 1050]),          # 2 events
     ]
-    stats = compute_stats(merge(*streams))
+    stats = compute_stats(PacketArrays.from_records(merge(*streams)))
     r = pearson_correlation(stats, 40, DEF1, np.random.default_rng(0))
     assert r == pytest.approx(1.0)
 
 
 def test_pcc_zero_variance_is_an_error() -> None:
-    stats = compute_stats(merge(two_flow_prefix(0, [1000, 1100]), two_flow_prefix(1, [1000, 1100])))
+    records = merge(two_flow_prefix(0, [1000, 1100]), two_flow_prefix(1, [1000, 1100]))
+    stats = compute_stats(PacketArrays.from_records(records))
     with pytest.raises(UndefinedCorrelationError):
         pearson_correlation(stats, 10, DEF1, np.random.default_rng(0))
 
 
 def test_pcc_requires_multi_flow_prefixes() -> None:
     records = flow_packets(make_flow(0), [1000, 1100])
-    stats = compute_stats(records)
+    stats = compute_stats(PacketArrays.from_records(records))
     assert eligible_flows(stats) == []
     with pytest.raises(UndefinedCorrelationError):
         pearson_correlation(stats, 5, DEF1, np.random.default_rng(0))
@@ -198,14 +180,14 @@ def test_interarrival_uniform_gaps_single_bin() -> None:
     records = flow_packets(make_flow(0), [1000 + 100 * i for i in range(11)])
     for i, rec in enumerate(records):
         rec.ts = i * 0.001
-    hist = interarrival_histogram(records)
+    hist = interarrival_histogram(PacketArrays.from_records(records))
     assert hist.def1_ooo.packets == 0 and hist.def2_ooo.packets == 0
     assert hist.in_order.counts == {-10: 10}  # floor(log2(0.001))
     assert hist.in_order.mean_gap == pytest.approx(0.001)
 
 
 def test_interarrival_empty_trace() -> None:
-    hist = interarrival_histogram([])
+    hist = interarrival_histogram(PacketArrays.from_records([]))
     assert hist.in_order.packets == 0
     assert hist.def1_ooo.counts == {} and hist.def2_ooo.counts == {}
 
@@ -229,7 +211,7 @@ def test_interarrival_displaced_packets_arrive_later() -> None:
 
 def test_breakdown_single_flow_prefix() -> None:
     records = flow_packets(make_flow(0), [1000, 1200, 1100] + [1300 + 100 * i for i in range(7)])
-    stats = compute_stats(records)
+    stats = compute_stats(PacketArrays.from_records(records))
     breakdown = flow_size_reorder_breakdown(stats, DEF1, size_bins=(4, 16, 64))
     entry = next(iter(breakdown.values()))
     assert entry.flow_count_by_bin == {1: 1}  # 10 packets -> bin (4, 16]
@@ -238,14 +220,14 @@ def test_breakdown_single_flow_prefix() -> None:
 
 def test_breakdown_zero_ooo_prefix_flagged() -> None:
     records = flow_packets(make_flow(0), [1000, 1100, 1200])
-    stats = compute_stats(records)
+    stats = compute_stats(PacketArrays.from_records(records))
     entry = next(iter(flow_size_reorder_breakdown(stats, DEF1).values()))
     assert entry.ooo_fraction_by_bin is None
 
 
 def test_breakdown_fractions_sum_to_one() -> None:
     records = random_trace(13, n_packets=600, n_flows=12, n_prefixes=3)
-    stats = compute_stats(records)
+    stats = compute_stats(PacketArrays.from_records(records))
     for entry in flow_size_reorder_breakdown(stats, DEF1).values():
         if entry.ooo_fraction_by_bin is not None:
             assert math.isclose(sum(entry.ooo_fraction_by_bin.values()), 1.0)

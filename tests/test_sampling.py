@@ -260,7 +260,7 @@ def test_no_collision_equivalence_small() -> None:
         agg = totals.setdefault(rep.prefix, [0, 0])
         agg[0] += rep.n
         agg[1] += rep.o
-    stats = compute_stats(records)
+    stats = compute_stats(PacketArrays.from_records(records))
     assert set(totals) == set(stats.prefixes)
     for prefix, (sum_n, sum_o) in totals.items():
         ps = stats.prefixes[prefix]
@@ -297,7 +297,7 @@ def test_fast_path_matches_reference_on_synthetic() -> None:
     arrays, _ = generate_synthetic_arrays(
         SynthConfig(n_prefixes=96, seed=31, duration_seconds=1.5, bad_prefix_fraction=0.3)
     )
-    records = arrays.to_records()
+    records = list(arrays.iter_records())
     params = SamplerParams(n_buckets=8, hash_seed=2)
     ref, ref_evictions = run_reference(records, params)
     fast = FlowSamplingArray(params)
