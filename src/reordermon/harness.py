@@ -34,6 +34,7 @@ from .traceio import PacketArrays, parse_trace
 
 DEF_BY_NUMBER = {1: ReorderDef.DEF1_DECREASE, 2: ReorderDef.DEF2_GAP}
 NUMBER_BY_DEF = {v: k for k, v in DEF_BY_NUMBER.items()}
+DETECTORS = {"array": FlowSamplingArray, "hh": ReorderHeavyHitter, "hybrid": HybridDetector}
 
 
 @dataclass(frozen=True)
@@ -65,7 +66,7 @@ class ExperimentSpec:
     filter_by_prefix: bool = False
 
     def __post_init__(self) -> None:
-        if self.algorithm not in ("array", "hh", "hybrid"):
+        if self.algorithm not in DETECTORS:
             raise ValueError(f"unknown algorithm {self.algorithm!r}")
         if self.alpha >= self.beta:
             raise ValueError("alpha must be smaller than beta")
@@ -144,20 +145,8 @@ def collect_reports(
 ) -> list[Report]:
     """Stream the trace through one freshly built detector; eviction reports
     followed by the end-of-interval flush."""
-    params = detector_params(spec, buckets, hh_fraction, seed)
-    if spec.algorithm == "array":
-        detector = FlowSamplingArray(params)
-        reports = detector.process_trace(arrays)
-    elif spec.algorithm == "hh":
-        detector = ReorderHeavyHitter(params)
-        reports = [
-            rep
-            for pkt in arrays.iter_records()
-            if (rep := detector.process_packet(pkt)[1]) is not None
-        ]
-    else:
-        detector = HybridDetector(params)
-        reports = [rep for pkt in arrays.iter_records() for rep in detector.process_packet(pkt)]
+    detector = DETECTORS[spec.algorithm](detector_params(spec, buckets, hh_fraction, seed))
+    reports = detector.process_trace(arrays)
     reports.extend(detector.flush())
     return reports
 

@@ -11,6 +11,15 @@ array, so heavy flows are monitored continuously for reordering.
 Reports fire when an entry with enough observed packets has an
 out-of-order fraction above the threshold, both on replacement of such an
 entry and at the end-of-interval flush (sources tag which).
+
+``process_packet`` is the reference implementation, instrumented so tests
+can verify the access budget.  ``process_trace`` is the batch twin for
+whole traces; it does not meter.  It relies on a resident entry seeing
+every packet of its flow after admission, so each packet's out-of-order
+flag against its flow predecessor is computed up front for the whole
+trace, and the table loop only moves plain integers and makes the same
+admission draws.  The two paths produce identical report streams and
+leave identical tables; the test suite holds them to that.
 """
 
 from __future__ import annotations
@@ -19,7 +28,9 @@ import random
 from dataclasses import dataclass
 from typing import Optional
 
-from .hashing import bucket_index, stage_seed
+import numpy as np
+
+from .hashing import bucket_index, bucket_index_array, stage_seed
 from .instrumentation import AccessMeter
 from .model import (
     DETECTOR_DEFS,
@@ -34,6 +45,7 @@ from .model import (
     prefix_of,
 )
 from .reports import Report, ReportSource
+from .traceio import PacketArrays
 
 
 @dataclass(frozen=True)
@@ -147,14 +159,6 @@ class ReorderHeavyHitter:
                 stage[idx] = None
         return out
 
-    def contains(self, flow: FlowId) -> bool:
-        """Whether ``flow`` is currently resident in any stage."""
-        for stage, idx in enumerate(self._slots(prefix_of(flow).bits)):
-            entry = self._stages[stage][idx]
-            if entry is not None and entry.flow == flow:
-                return True
-        return False
-
     def contains_prefix(self, prefix: Prefix) -> bool:
         """Whether any flow of ``prefix`` is currently resident."""
         for stage, idx in enumerate(self._slots(prefix.bits)):
@@ -166,5 +170,119 @@ class ReorderHeavyHitter:
     def occupied_entries(self) -> int:
         return sum(1 for stage in self._stages for entry in stage if entry is not None)
 
-    def resident_flows(self) -> list[FlowId]:
-        return [entry.flow for stage in self._stages for entry in stage if entry is not None]
+    # --- batch path ---------------------------------------------------------
+
+    def process_trace(self, arrays: PacketArrays) -> list[Report]:
+        """Stream a whole columnar trace through a fresh table; returns the
+        eviction reports in the per-packet path's emission order.
+
+        Requires that no packets have been processed yet; leaves the table
+        and ``packets_processed`` exactly as the per-packet path would, so
+        ``flush`` afterwards behaves identically.
+        """
+        return [report for _, report in self._process_trace_indexed(arrays)[0]]
+
+    def _process_trace_indexed(
+        self, arrays: PacketArrays, by_prefix: bool = False
+    ) -> tuple[list[tuple[int, Report]], np.ndarray]:
+        """``process_trace`` with each report paired with the index of the
+        packet that triggered it, plus a per-packet mask: resident after the
+        packet's step, or with ``by_prefix`` any flow of its prefix resident
+        (the hybrid's two filtering rules)."""
+        if self.packets_processed:
+            raise RuntimeError("process_trace requires a fresh detector instance")
+        p = self.params
+        n_pkts = len(arrays)
+        self.packets_processed = n_pkts
+        filtered = np.ones(n_pkts, dtype=bool)
+        if n_pkts == 0:
+            return [], filtered
+
+        # packets grouped by flow, time order kept: an entry's n packets after
+        # its admission packet at position a are positions a+1 .. a+n
+        fid = arrays.flow_id
+        order = np.argsort(fid, kind="stable")
+        gflow = fid[order]
+        gseq = arrays.seq[order]
+        gexp = gseq + arrays.payload_len[order]
+        same_flow = gflow[1:] == gflow[:-1]
+        flag = np.zeros(n_pkts, dtype=bool)
+        if p.reorder_def is ReorderDef.DEF2_GAP:
+            flag[1:] = (gseq[1:] > gexp[:-1]) & same_flow
+        else:
+            flag[1:] = (gseq[1:] < gseq[:-1]) & same_flow
+        cum = np.cumsum(flag)
+        position = np.empty(n_pkts, dtype=np.int64)
+        position[order] = np.arange(n_pkts)
+
+        # the table as flat lists over stage * B + idx
+        n_buckets = p.buckets_per_stage
+        bits = arrays.flow_prefix_bits
+        flow_slots = list(
+            zip(
+                *(
+                    (bucket_index_array(bits, seed, n_buckets) + stage * n_buckets).tolist()
+                    for stage, seed in enumerate(self._seeds)
+                )
+            )
+        )
+        n_slots = p.n_stages * n_buckets
+        occupant = [-1] * n_slots
+        count = [0] * n_slots  # count_est
+        base = [0] * n_slots  # count_est at admission, so n = count - base
+        admitted_at = [0] * n_slots  # index of the admission packet
+        slot_of = [-1] * arrays.flow_count
+
+        bits_list = bits.tolist()
+        draw = self._rng.random
+        min_n = p.min_report_packets
+        fraction = p.report_fraction
+        eviction = ReportSource.HH_EVICTION
+        pending: list[tuple[int, Report]] = []
+        rejected: list[int] = []
+
+        for i, f in enumerate(fid.tolist()):
+            k = slot_of[f]
+            if k >= 0:
+                count[k] += 1
+                continue
+            slots = flow_slots[f]
+            k = slots[0]
+            c = count[k]
+            for s in slots[1:]:
+                if count[s] < c:
+                    k, c = s, count[s]
+            if draw() < 1.0 / (c + 1):
+                g = occupant[k]
+                if g >= 0:
+                    slot_of[g] = -1
+                    n = c - base[k]
+                    if n >= min_n:
+                        a = position[admitted_at[k]]
+                        o = int(cum[a + n] - cum[a])
+                        if o / n > fraction:
+                            pending.append((i, Report(Prefix(bits_list[g]), n, o, eviction)))
+                occupant[k] = f
+                slot_of[f] = k
+                count[k] = base[k] = c + 1
+                admitted_at[k] = i
+            elif not by_prefix or all(
+                occupant[s] < 0 or bits_list[occupant[s]] != bits_list[f] for s in slots
+            ):
+                rejected.append(i)
+        filtered[rejected] = False
+
+        for k, g in enumerate(occupant):
+            if g < 0:
+                continue
+            n = count[k] - base[k]
+            a = position[admitted_at[k]]
+            last = a + n
+            self._stages[k // n_buckets][k % n_buckets] = HHEntry(
+                arrays.flow(g),
+                count[k],
+                SeqState(int(gseq[last]), int(gexp[last])),
+                n,
+                int(cum[last] - cum[a]),
+            )
+        return pending, filtered

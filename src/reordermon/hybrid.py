@@ -9,18 +9,31 @@ heavy flows are monitored continuously while everything else is sampled.
 An alternative filtering rule (skip the array when any flow of the same
 prefix is HH-resident) is available behind ``filter_by_prefix``; it trades
 accuracy for fewer reports and is off by default.
+
+``process_packet`` is the reference implementation.  ``process_trace`` is
+the batch twin for whole traces and does not meter: the HH table's batch
+pass yields each packet's filter outcome, the array's batch pass runs on
+the unfiltered packets, and the two report streams are merged by the
+triggering packet, which is the per-packet emission order.  (A packet that
+triggers an HH report was just admitted, so it never reaches the array:
+no packet triggers both.)
 """
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass, replace
+from operator import itemgetter
 from typing import Optional
+
+import numpy as np
 
 from .heavyhitter import HHParams, ReorderHeavyHitter
 from .model import PacketRecord, prefix_of
 from .reports import Report
 from .sampling import FlowSamplingArray, SamplerParams
+from .traceio import PacketArrays
 
 
 @dataclass(frozen=True)
@@ -80,6 +93,26 @@ class HybridDetector:
             if report is not None:
                 out.append(report)
         return out
+
+    def process_trace(self, arrays: PacketArrays) -> list[Report]:
+        """Stream a whole columnar trace through a fresh detector; returns
+        the reports ``process_packet`` would emit, in the same order, and
+        leaves both structures as it would."""
+        if self.hh is None:
+            return [] if self.array is None else self.array.process_trace(arrays)
+        hh_part, filtered = self.hh._process_trace_indexed(
+            arrays, self.params.filter_by_prefix
+        )
+        if self.array is None:
+            return [report for _, report in hh_part]
+        keep = np.flatnonzero(~filtered)
+        position = keep.tolist()
+        array_part = [
+            (position[j], report)
+            for j, report in self.array._process_trace_indexed(arrays.subset(keep))
+        ]
+        merged = heapq.merge(hh_part, array_part, key=itemgetter(0))
+        return [report for _, report in merged]
 
     def flush(self) -> list[Report]:
         out: list[Report] = []

@@ -84,6 +84,8 @@ def ip_to_int(dotted: str) -> int:
         raise ValueError(f"not a dotted-quad address: {dotted!r}")
     value = 0
     for part in parts:
+        if len(part) > 1 and part[0] == "0":
+            raise ValueError(f"octet with a leading zero in {dotted!r}")
         octet = int(part)
         if not 0 <= octet <= 255:
             raise ValueError(f"octet out of range in {dotted!r}")

@@ -166,6 +166,11 @@ class FlowSamplingArray:
         the packet that triggered them, which restores the exact emission
         order of the per-packet path.
         """
+        return [report for _, report in self._process_trace_indexed(arrays)]
+
+    def _process_trace_indexed(self, arrays: PacketArrays) -> list[tuple[int, Report]]:
+        """``process_trace`` with each report paired with the index of the
+        packet that triggered it, in that order."""
         if self.packets_processed:
             raise RuntimeError("process_trace requires a fresh detector instance")
         p = self.params
@@ -287,4 +292,4 @@ class FlowSamplingArray:
                 b_o[b],
             )
         pending.sort(key=lambda item: item[0])
-        return [report for _, report in pending]
+        return pending

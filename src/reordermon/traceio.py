@@ -112,6 +112,17 @@ class PacketArrays:
             flow_dst_port=np.asarray([f.dst_port for f in flows], dtype=np.int64),
         )
 
+    def subset(self, index: np.ndarray) -> "PacketArrays":
+        """The packets picked by ``index`` (a mask or sorted positions), in
+        trace order; the flow tables are kept as they are."""
+        return replace(
+            self,
+            ts=self.ts[index],
+            seq=self.seq[index],
+            payload_len=self.payload_len[index],
+            flow_id=self.flow_id[index],
+        )
+
     def iter_records(self) -> Iterator[PacketRecord]:
         """Per-packet view for the reference detectors, in trace order."""
         flows = [self.flow(fid) for fid in range(self.flow_count)]
@@ -142,9 +153,9 @@ def parse_trace(source: Source) -> tuple[PacketArrays, TraceMeta]:
 
     Raises ``TraceFormatError`` (with a line number) on malformed rows,
     non-canonical numbers (a sign, whitespace, an underscore, a control or a
-    non-ASCII character, which ``int``/``float`` would quietly accept),
-    non-finite or decreasing timestamps, and seq or payload_len outside
-    [0, 2^32).
+    non-ASCII character, which ``int``/``float`` would quietly accept, or an
+    IP octet with a leading zero), negative, non-finite or decreasing
+    timestamps, and seq or payload_len outside [0, 2^32).
     """
     handle, owned = _open_text(source)
     try:
@@ -199,6 +210,8 @@ def _read_rows(handle: IO[str]) -> Iterator[PacketRecord]:
             )
         if not math.isfinite(ts):
             raise TraceFormatError(f"line {lineno}: non-finite timestamp")
+        if parts[0].startswith("-"):
+            raise TraceFormatError(f"line {lineno}: negative timestamp")
         if ts < prev_ts:
             raise TraceFormatError(f"line {lineno}: decreasing timestamp")
         prev_ts = ts
@@ -238,14 +251,7 @@ def filter_server_to_client(arrays: PacketArrays) -> PacketArrays:
     its flow has ``src_port < dst_port``.  Ties are dropped (direction
     undecidable).  The flow tables are kept as they are.
     """
-    keep = (arrays.flow_src_port < arrays.flow_dst_port)[arrays.flow_id]
-    return replace(
-        arrays,
-        ts=arrays.ts[keep],
-        seq=arrays.seq[keep],
-        payload_len=arrays.payload_len[keep],
-        flow_id=arrays.flow_id[keep],
-    )
+    return arrays.subset((arrays.flow_src_port < arrays.flow_dst_port)[arrays.flow_id])
 
 
 def flow_key_str(flow: FlowId) -> str:

@@ -7,17 +7,23 @@ import pytest
 from reordermon.controlplane import AggregatorMode
 from reordermon.harness import (
     AnalysisParams,
+    DETECTORS,
     ExperimentSpec,
     RESULT_COLUMNS,
     analyze_trace,
     collect_reports,
+    detector_params,
     grid_search_hybrid,
     result_rows,
     run_experiment,
     truth_sets,
     write_csv,
 )
+from reordermon.heavyhitter import ReorderHeavyHitter
+from reordermon.hybrid import HybridDetector
+from reordermon.model import ReorderDef
 from reordermon.oracle import compute_stats
+from reordermon.sampling import FlowSamplingArray
 from reordermon.traceio import PacketArrays, SynthConfig, generate_synthetic_arrays
 
 
@@ -139,18 +145,47 @@ def test_grid_search_requires_hybrid(small_workload: PacketArrays) -> None:
         grid_search_hybrid(small_workload, ExperimentSpec(algorithm="array"))
 
 
-def test_collect_reports_paths_agree_for_array(small_workload: PacketArrays) -> None:
-    # the array path goes through the batch implementation; spot-check its
-    # report count against a per-packet run of the same parameters
-    from reordermon.harness import sampler_params
-    from reordermon.sampling import FlowSamplingArray
+# one packet through each reference detector, as a list of reports
+PER_PACKET = {
+    "array": lambda det, pkt: [det.process_packet(pkt)],
+    "hh": lambda det, pkt: [det.process_packet(pkt)[1]],
+    "hybrid": lambda det, pkt: det.process_packet(pkt),
+}
 
-    spec = ExperimentSpec(algorithm="array", bucket_counts=(16,), seeds=(4,))
-    fast = collect_reports(small_workload, spec, 16, 0.0, 4)
-    ref = FlowSamplingArray(sampler_params(spec, 16, 4))
-    slow = [r for pkt in small_workload.iter_records() if (r := ref.process_packet(pkt))]
-    slow.extend(ref.flush())
-    assert fast == slow
+
+def test_collect_reports_paths_agree_for_array(small_workload: PacketArrays) -> None:
+    # every algorithm goes through its batch implementation; hold it to a
+    # per-packet run of the same parameters (hh and hybrid included)
+    for algo, x in (("array", 0.0), ("hh", 0.0), ("hybrid", 0.3), ("hybrid", 0.7)):
+        for reorder_def in (ReorderDef.DEF1_DECREASE, ReorderDef.DEF2_GAP):
+            spec = ExperimentSpec(
+                algorithm=algo, reorder_def=reorder_def, bucket_counts=(16,), seeds=(4,),
+                min_report_packets=4,
+            )
+            fast = collect_reports(small_workload, spec, 16, x, 4)
+            ref = DETECTORS[algo](detector_params(spec, 16, x, 4))
+            slow = [
+                rep
+                for pkt in small_workload.iter_records()
+                for rep in PER_PACKET[algo](ref, pkt)
+                if rep is not None
+            ]
+            slow.extend(ref.flush())
+            assert fast == slow, (algo, x, reorder_def)
+
+
+def test_collect_reports_never_runs_per_packet(
+    small_workload: PacketArrays, monkeypatch: pytest.MonkeyPatch
+) -> None:
+    def refuse(self, pkt):
+        raise AssertionError("per-packet path used")
+
+    for cls in (FlowSamplingArray, ReorderHeavyHitter, HybridDetector):
+        monkeypatch.setattr(cls, "process_packet", refuse)
+    for algo in ("array", "hh", "hybrid"):
+        spec = ExperimentSpec(algorithm=algo, bucket_counts=(16,), seeds=(0,))
+        for x in spec.fractions:
+            assert collect_reports(small_workload, spec, 16, x, 0)
 
 
 def test_analyze_trace_writes_all_artifacts(tmp_path: Path, small_workload: PacketArrays) -> None:

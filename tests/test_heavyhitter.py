@@ -3,6 +3,7 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from reordermon.hashing import bucket_index, stage_seed
 from reordermon.heavyhitter import HHEntry, HHParams, ReorderHeavyHitter
@@ -15,11 +16,12 @@ from reordermon.model import (
     prefix_of,
 )
 from reordermon.reports import Report, ReportSource
-from reordermon.traceio import PacketArrays
+from reordermon.traceio import PacketArrays, SynthConfig, generate_synthetic_arrays
 
 from conftest import random_trace
 
 DEF1 = ReorderDef.DEF1_DECREASE
+DEF2 = ReorderDef.DEF2_GAP
 
 PREFIX_A = 0x0A000000
 FA1 = FlowId(PREFIX_A | 1, 0xAC100001, 443, 10001)
@@ -110,11 +112,15 @@ def dump_table(hh: ReorderHeavyHitter):
     return out
 
 
+def resident_flows(hh: ReorderHeavyHitter) -> list[FlowId]:
+    return [entry.flow for stage in hh._stages for entry in stage if entry is not None]
+
+
 def test_first_packet_always_admitted() -> None:
     hh = ReorderHeavyHitter(params())
     resident, report = hh.process_packet(pkt(FA1, 1000, 0.0))
     assert resident and report is None
-    assert hh.contains(FA1)
+    assert FA1 in resident_flows(hh)
     entry = next(e for stage in hh._stages for e in stage if e is not None)
     assert (entry.count_est, entry.n, entry.o) == (1, 0, 0)
 
@@ -145,7 +151,7 @@ def test_replacement_of_reordered_victim_reports() -> None:
     resident, report = hh.process_packet(pkt(FA2, 5000, 1.0))
     assert resident
     assert report == Report(Prefix(PREFIX_A), 100, 5, ReportSource.HH_EVICTION)
-    assert hh.contains(FA2) and not hh.contains(FA1)
+    assert FA2 in resident_flows(hh) and FA1 not in resident_flows(hh)
 
 
 def test_rejected_admission_leaves_table_unchanged() -> None:
@@ -157,7 +163,7 @@ def test_rejected_admission_leaves_table_unchanged() -> None:
     hh._stages[0][0] = HHEntry(FA1, 101, SeqState(10_000, 10_100), 100, 5)
     resident, report = hh.process_packet(pkt(FA2, 5000, 1.0))
     assert not resident and report is None
-    assert hh.contains(FA1) and not hh.contains(FA2)
+    assert FA1 in resident_flows(hh) and FA2 not in resident_flows(hh)
 
 
 def test_flush_threshold_arithmetic() -> None:
@@ -185,14 +191,14 @@ def test_contains_lifecycle() -> None:
             break
     p = params(n_stages=1, buckets_per_stage=1, rng_seed=seed)
     hh = ReorderHeavyHitter(p)
-    assert not hh.contains(FA1)
+    assert FA1 not in resident_flows(hh)
     hh.process_packet(pkt(FA1, 1000, 0.0))
-    assert hh.contains(FA1)
+    assert FA1 in resident_flows(hh)
     assert hh.contains_prefix(Prefix(PREFIX_A))
     resident, _ = hh.process_packet(pkt(FA2, 5000, 0.1))
     assert resident  # admitted against count 1 by the chosen seed
-    assert not hh.contains(FA1)
-    assert hh.contains(FA2)
+    assert FA1 not in resident_flows(hh)
+    assert FA2 in resident_flows(hh)
 
 
 def test_access_budget_d_probes_one_write() -> None:
@@ -210,7 +216,7 @@ def test_at_most_d_entries_per_prefix() -> None:
     hh = ReorderHeavyHitter(params(n_stages=2, buckets_per_stage=8, hash_seed=1))
     for rec in records:
         hh.process_packet(rec)
-        same_prefix = [f for f in hh.resident_flows() if prefix_of(f).bits == 0x0A000000]
+        same_prefix = [f for f in resident_flows(hh) if prefix_of(f).bits == 0x0A000000]
         assert len(same_prefix) <= 2
 
 
@@ -276,3 +282,94 @@ def test_param_validation() -> None:
         params(buckets_per_stage=0)
     with pytest.raises(ValueError):
         HHParams(n_stages=2, buckets_per_stage=2, reorder_def=ReorderDef.DEF3_BELOW_MAX)
+
+
+# --- batch path ---------------------------------------------------------------
+
+
+def run_reference(records, p: HHParams):
+    hh = ReorderHeavyHitter(p)
+    evictions = [rep for rec in records if (rep := hh.process_packet(rec)[1]) is not None]
+    return hh, evictions
+
+
+def assert_batch_matches_reference(records, p: HHParams) -> list[Report]:
+    ref, ref_evictions = run_reference(records, p)
+    fast = ReorderHeavyHitter(p)
+    assert fast.process_trace(PacketArrays.from_records(records)) == ref_evictions
+    assert fast.packets_processed == ref.packets_processed
+    assert dump_table(fast) == dump_table(ref)
+    assert fast.flush() == ref.flush()
+    return ref_evictions
+
+
+@pytest.mark.parametrize("def_", [DEF1, DEF2])
+def test_fast_path_matches_reference_on_random_traces(def_: ReorderDef) -> None:
+    n_evictions = 0
+    for seed in range(6):
+        records = random_trace(seed, n_packets=3000, n_flows=14, n_prefixes=5)
+        for n_stages, buckets, min_packets in ((1, 2, 1), (2, 2, 4), (3, 4, 16)):
+            p = params(
+                n_stages=n_stages,
+                buckets_per_stage=buckets,
+                min_report_packets=min_packets,
+                reorder_def=def_,
+                hash_seed=seed + 11,
+                rng_seed=seed,
+            )
+            n_evictions += len(assert_batch_matches_reference(records, p))
+    assert n_evictions > 0
+
+
+def test_fast_path_matches_reference_on_synthetic() -> None:
+    arrays, _ = generate_synthetic_arrays(
+        SynthConfig(n_prefixes=96, seed=31, duration_seconds=1.5, bad_prefix_fraction=0.3)
+    )
+    for def_ in (DEF1, DEF2):
+        p = params(buckets_per_stage=8, min_report_packets=4, reorder_def=def_, hash_seed=2)
+        assert assert_batch_matches_reference(list(arrays.iter_records()), p)
+
+
+def test_fast_path_requires_fresh_instance() -> None:
+    records = random_trace(1, n_packets=10)
+    hh = ReorderHeavyHitter(params())
+    hh.process_packet(records[0])
+    with pytest.raises(RuntimeError):
+        hh.process_trace(PacketArrays.from_records(records))
+
+
+def test_fast_path_empty_trace() -> None:
+    hh = ReorderHeavyHitter(params())
+    assert hh.process_trace(PacketArrays.from_records([])) == []
+    assert hh.packets_processed == 0
+    assert hh.flush() == []
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    trace_seed=st.integers(0, 10_000),
+    n_stages=st.integers(1, 3),
+    buckets=st.integers(1, 6),
+    min_packets=st.integers(1, 16),
+    fraction=st.sampled_from([0.001, 0.05, 0.3]),
+    def_=st.sampled_from([DEF1, DEF2]),
+)
+def test_fast_path_equivalence_property(
+    trace_seed: int,
+    n_stages: int,
+    buckets: int,
+    min_packets: int,
+    fraction: float,
+    def_: ReorderDef,
+) -> None:
+    records = random_trace(trace_seed, n_packets=600, n_flows=9, n_prefixes=4)
+    p = params(
+        n_stages=n_stages,
+        buckets_per_stage=buckets,
+        report_fraction=fraction,
+        min_report_packets=min_packets,
+        reorder_def=def_,
+        hash_seed=trace_seed ^ 0x5A5A,
+        rng_seed=trace_seed,
+    )
+    assert_batch_matches_reference(records, p)

@@ -1,11 +1,14 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from reordermon.heavyhitter import HHParams, ReorderHeavyHitter
 from reordermon.hybrid import HybridDetector, HybridParams
 from reordermon.model import FlowId, PacketRecord, ReorderDef
+from reordermon.reports import ReportSource
 from reordermon.sampling import FlowSamplingArray, SamplerParams
+from reordermon.traceio import PacketArrays, SynthConfig, generate_synthetic_arrays
 
 from conftest import random_trace
 
@@ -163,3 +166,118 @@ def test_tiny_hh_budget_disables_hh() -> None:
     det = HybridDetector(params)
     assert det.hh is None
     assert det.array is not None and det.array.params.n_buckets == 8
+
+
+# --- batch path ---------------------------------------------------------------
+
+
+def batch_params(
+    total: int,
+    x: float,
+    reorder_def: ReorderDef,
+    filter_by_prefix: bool,
+    seed: int,
+    n_stages: int = 2,
+    min_report_packets: int = 4,
+) -> HybridParams:
+    return HybridParams(
+        total_buckets=total,
+        hh_fraction=x,
+        sampler=SamplerParams(
+            n_buckets=1, stale_after=1e-4, max_packets=5, reorder_def=reorder_def,
+            hash_seed=seed,
+        ),
+        hh=HHParams(
+            n_stages=n_stages, buckets_per_stage=1, min_report_packets=min_report_packets,
+            reorder_def=reorder_def, hash_seed=seed, rng_seed=seed,
+        ),
+        filter_by_prefix=filter_by_prefix,
+    )
+
+
+def assert_batch_matches_reference(records, params: HybridParams):
+    ref = HybridDetector(params)
+    ref_reports = [rep for rec in records for rep in ref.process_packet(rec)]
+    fast = HybridDetector(params)
+    assert fast.process_trace(PacketArrays.from_records(records)) == ref_reports
+    if ref.hh is not None:
+        assert fast.hh.packets_processed == ref.hh.packets_processed
+        assert fast.hh._stages == ref.hh._stages
+    if ref.array is not None:
+        assert fast.array.packets_processed == ref.array.packets_processed
+        assert fast.array._buckets == ref.array._buckets
+    assert fast.flush() == ref.flush()
+    return ref_reports
+
+
+@pytest.mark.parametrize("reorder_def", [ReorderDef.DEF1_DECREASE, ReorderDef.DEF2_GAP])
+@pytest.mark.parametrize("filter_by_prefix", [False, True])
+@pytest.mark.parametrize("x", [0.0, 1.0, 0.5, 0.3])
+def test_fast_path_matches_reference_on_random_traces(
+    reorder_def: ReorderDef, filter_by_prefix: bool, x: float
+) -> None:
+    sources = set()
+    for seed in range(4):
+        records = random_trace(seed, n_packets=2000, n_flows=14, n_prefixes=4)
+        for total in (4, 9, 16):
+            params = batch_params(total, x, reorder_def, filter_by_prefix, seed + 3)
+            sources.update(rep.source for rep in assert_batch_matches_reference(records, params))
+    expected = set()
+    if x > 0.0:
+        expected.add(ReportSource.HH_EVICTION)
+    if x < 1.0:
+        expected.add(ReportSource.ARRAY_EVICTION)
+    assert sources == expected
+
+
+def test_fast_path_matches_reference_on_synthetic() -> None:
+    arrays, _ = generate_synthetic_arrays(
+        SynthConfig(n_prefixes=96, seed=31, duration_seconds=1.5, bad_prefix_fraction=0.3)
+    )
+    records = list(arrays.iter_records())
+    for x in (0.2, 0.7):
+        params = batch_params(32, x, ReorderDef.DEF2_GAP, False, seed=2, min_report_packets=16)
+        assert assert_batch_matches_reference(records, params)
+
+
+def test_fast_path_requires_fresh_instance() -> None:
+    records = random_trace(1, n_packets=10)
+    arrays = PacketArrays.from_records(records)
+    for x in (0.0, 0.5, 1.0):
+        det = HybridDetector(hybrid_params(8, x))
+        det.process_packet(records[0])
+        with pytest.raises(RuntimeError):
+            det.process_trace(arrays)
+
+
+def test_fast_path_empty_trace() -> None:
+    for x in (0.0, 0.5, 1.0):
+        det = HybridDetector(hybrid_params(8, x))
+        assert det.process_trace(PacketArrays.from_records([])) == []
+        assert det.flush() == []
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    trace_seed=st.integers(0, 10_000),
+    total=st.integers(1, 20),
+    x=st.sampled_from([0.0, 0.25, 0.5, 0.75, 1.0]),
+    n_stages=st.integers(1, 3),
+    min_packets=st.integers(1, 16),
+    reorder_def=st.sampled_from([ReorderDef.DEF1_DECREASE, ReorderDef.DEF2_GAP]),
+    filter_by_prefix=st.booleans(),
+)
+def test_fast_path_equivalence_property(
+    trace_seed: int,
+    total: int,
+    x: float,
+    n_stages: int,
+    min_packets: int,
+    reorder_def: ReorderDef,
+    filter_by_prefix: bool,
+) -> None:
+    records = random_trace(trace_seed, n_packets=600, n_flows=9, n_prefixes=4)
+    params = batch_params(
+        total, x, reorder_def, filter_by_prefix, trace_seed ^ 0x5A5A, n_stages, min_packets
+    )
+    assert_batch_matches_reference(records, params)

@@ -73,6 +73,8 @@ NON_CANONICAL_ROWS = (
     "0.2,10.0.0.1,10.0.1.1,443,\x0c50000,1000,100",
     "0.2,10.0.0.1,10.0.-0.1,443,50000,1000,100",
     "0.2,10.0.0.1,10.0.1.1,443,50000,\uff11000,100",  # fullwidth digit one
+    "0.2,10.0.0.010,10.0.1.1,443,50000,1000,100",
+    "0.2,10.0.0.1,10.0.01.1,443,50000,1000,100",
 )
 
 
@@ -90,6 +92,10 @@ def test_malformed_row_names_line(tmp_path) -> None:
     for row in NON_CANONICAL_ROWS:
         with pytest.raises(TraceFormatError, match="line 3"):
             parse_text(TRACE_HEADER + "\n0.1,10.0.0.1,10.0.1.1,443,50000,900,100\n" + row + "\n")
+    # a negative first timestamp cannot be caught as a decrease
+    for ts in ("-0.1", "-0.0", "-1e-05"):
+        with pytest.raises(TraceFormatError, match="line 2: negative timestamp"):
+            parse_text(TRACE_HEADER + f"\n{ts},10.0.0.1,10.0.1.1,443,50000,900,100\n")
     # a non-ASCII byte in a trace file, inside a field and after the last one
     for tail in (b"\xe9", b",100\xe9"):
         path = tmp_path / "bad.csv"
