@@ -9,6 +9,14 @@ those assumptions a prefix hashed to bucket b is checked at least
 exponential terms; the simulator measures how often the guarantee holds
 over many trials so the analytic bound can be checked empirically.
 
+The simulator is vectorized within each trial: an exact table over a
+2^12-cell grid of [0, 1) maps draws to flows (a search runs only in the
+few cells a cdf value splits), one stable sort by flow (numpy's radix
+sort below 2^16 flows) gives every check's successor, and a Python loop
+walks those successors, one step per check.  It consumes the seeded draws in the order a per-packet walk does,
+so a seed's results do not depend on the implementation; the test suite
+holds it equal to such a walk.
+
 The real sampler differs on purpose (it does not evict a record that
 exceeds C packets until a collision arrives), so this module is a model
 validator, not a detector.
@@ -115,6 +123,31 @@ class CheckModel:
         return term1 + term2 + term3
 
 
+# cells of the exact flow lookup; a power of two, so u * _GRID is exact
+_GRID = 1 << 12
+
+
+def _flow_lookup(cdf: np.ndarray, flow_type: np.dtype) -> tuple[np.ndarray, np.ndarray]:
+    """The flow of each grid cell of [0, 1), and the cells that need a search.
+
+    ``searchsorted(cdf, u, side="right")`` takes one value for every u in
+    cell k = floor(u * _GRID), unless a cdf value lies strictly inside the
+    cell; such a cell is mixed.  A cdf value on a cell edge splits nothing.
+    An unsorted cdf (from a negative probability, or from rounding that
+    leaves an entry above the final 1.0) makes every cell mixed: numpy's
+    search over it depends on the order of the keys, so it must see every
+    draw, in stream order.
+    """
+    table = np.searchsorted(cdf, np.arange(_GRID) / _GRID, side="right").astype(flow_type)
+    mixed = np.zeros(_GRID, dtype=bool)
+    if np.any(np.diff(cdf) < 0):
+        mixed[:] = True
+    else:
+        inside = cdf[(cdf > 0.0) & (cdf < 1.0)] * _GRID
+        mixed[inside[inside != np.floor(inside)].astype(np.intp)] = True
+    return table, mixed
+
+
 def simulate_flow_checks(model: CheckModel, trials: int, seed: int = 0) -> np.ndarray:
     """Per-trial, per-flow check counts (shape: trials x flows).
 
@@ -123,39 +156,55 @@ def simulate_flow_checks(model: CheckModel, trials: int, seed: int = 0) -> np.nd
     flow, which completes once ``packets_per_check`` more of its packets
     arrive; the next eligible packet after completion starts the next
     check.
+
+    A check ends on a packet of its own, eligible flow, so the walk never
+    needs an ineligible packet: on the eligible substream, the check that
+    starts at index r ends at the C-th next packet of r's flow, and the next
+    check starts one index later.  Those successors come from one stable
+    sort by flow per trial; only the walk along them is a Python loop, one
+    step per check.  Draws are consumed exactly as by a per-packet walk
+    (one ``rng.random(stream_length)`` per trial, in trial order), so a
+    seed gives the same matrix.
     """
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
     rng = np.random.default_rng(seed)
     probs = np.asarray(model.flow_probs)
     n_flows = len(probs)
     cdf = np.cumsum(probs)
     cdf[-1] = 1.0
     _, eligible = model._masks()
+    all_eligible = bool(eligible.all())
     C = model.packets_per_check
+    # holds every search result 0..n_flows; up to 16 bits, the stable
+    # argsort below is numpy's radix sort
+    table, mixed = _flow_lookup(cdf, np.min_scalar_type(n_flows))
 
     out = np.zeros((trials, n_flows), dtype=np.int64)
     for trial in range(trials):
-        draws = np.searchsorted(cdf, rng.random(model.stream_length), side="right")
+        u = rng.random(model.stream_length)
+        cell = (u * _GRID).astype(np.intp)
+        draws = table[cell]
+        slow = np.flatnonzero(mixed[cell])
+        if slow.size:
+            draws[slow] = np.searchsorted(cdf, u[slow], side="right")
+        if not all_eligible:
+            draws = draws[eligible[draws]]
+        n = draws.size
         order = np.argsort(draws, kind="stable")
-        counts = np.bincount(draws, minlength=n_flows)
-        offsets = np.zeros(n_flows + 1, dtype=np.int64)
-        np.cumsum(counts, out=offsets[1:])
-        elig_pos = np.flatnonzero(eligible[draws])
-        if elig_pos.size == 0:
-            continue
-        checks = out[trial]
-        i = int(elig_pos[0])
-        while True:
-            f = draws[i]
-            pos_f = order[offsets[f] : offsets[f + 1]]
-            rank = int(np.searchsorted(pos_f, i))
-            if rank + C >= len(pos_f):
-                break  # stream ends before the check completes
-            end = int(pos_f[rank + C])
-            checks[f] += 1
-            nxt = int(np.searchsorted(elig_pos, end, side="right"))
-            if nxt >= len(elig_pos):
-                break
-            i = int(elig_pos[nxt])
+        flows = draws[order]
+        # succ[r]: where the next check starts after the one starting at r,
+        # or n + 1 if the stream ends before that check completes
+        succ = np.full(n, n + 1)
+        succ[order[:-C]] = np.where(flows[C:] == flows[:-C], order[C:] + 1, n + 1)
+        chain = []
+        r = 0
+        while r < n:
+            chain.append(r)
+            r = succ[r]
+        if r > n:
+            chain.pop()  # the last check never completed
+        out[trial] = np.bincount(draws[chain], minlength=n_flows)
     return out
 
 

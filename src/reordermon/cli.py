@@ -307,6 +307,8 @@ def _cmd_grid_hybrid(args: argparse.Namespace) -> int:
 
 def _cmd_validate_lemma(args: argparse.Namespace) -> int:
     resolved = _resolve(args, LEMMA_OPTS)
+    if resolved["trials"] < 1:
+        raise UsageError("--trials must be >= 1")
     models: dict[str, CheckModel] = {}
     if args.model:
         raw = json.loads(Path(args.model).read_text(encoding="ascii"))

@@ -121,13 +121,20 @@ def detector_params(
         return sampler_params(spec, buckets, seed)
     if spec.algorithm == "hh":
         return hh_params(spec, max(1, buckets // spec.hh_stages), seed)
-    return HybridParams(
+    params = HybridParams(
         total_buckets=buckets,
         hh_fraction=hh_fraction,
         sampler=sampler_params(spec, buckets, seed),
         hh=hh_params(spec, 1, seed),
         filter_by_prefix=spec.filter_by_prefix,
     )
+    if params.hh_buckets_per_stage < 1 and params.array_buckets < 1:
+        raise ValueError(
+            f"hybrid with {buckets} buckets and HH fraction {hh_fraction} builds "
+            f"neither an HH table (needs {spec.hh_stages} buckets, one per stage) "
+            "nor an array"
+        )
+    return params
 
 
 def aggregator_params(spec: ExperimentSpec) -> AggregatorParams:

@@ -2,7 +2,12 @@
 
 Memory is a single budget of B buckets split by a fraction x: the HH table
 gets floor(x*B) entries (divided evenly over its stages), the array gets
-the rest.  Packets go through the HH table first; the array only sees a
+the rest.  The even division floors too: the up to d-1 HH buckets it
+leaves over (d stages) go unused, not to the array, so a split can run on
+fewer than B buckets (B=1024: x = 0.3, 0.4, 0.8 and 0.9 each lose one
+with two stages).  A split that builds neither structure is legal here
+but reports nothing; ``harness.detector_params`` rejects it.  Packets go
+through the HH table first; the array only sees a
 packet if its flow is not resident in the HH table after that step, so
 heavy flows are monitored continuously while everything else is sampled.
 
@@ -58,6 +63,11 @@ class HybridParams:
     def array_buckets(self) -> int:
         return self.total_buckets - self.hh_buckets
 
+    @property
+    def hh_buckets_per_stage(self) -> int:
+        """HH buckets in each stage; the floored remainder goes unused."""
+        return self.hh_buckets // self.hh.n_stages
+
 
 class HybridDetector:
     """Composes the two structures; degenerate splits reproduce either one
@@ -65,7 +75,7 @@ class HybridDetector:
 
     def __init__(self, params: HybridParams) -> None:
         self.params = params
-        per_stage = params.hh_buckets // params.hh.n_stages
+        per_stage = params.hh_buckets_per_stage
         self.hh: Optional[ReorderHeavyHitter] = None
         if per_stage >= 1:
             self.hh = ReorderHeavyHitter(

@@ -194,6 +194,9 @@ def _read_rows(handle: IO[str]) -> Iterator[PacketRecord]:
             raise TraceFormatError(
                 f"line {lineno}: seq or payload_len negative or not below 2^32"
             )
+        # the substring test keeps the exact one off most rows
+        if ",0" in line and (_leading_zero(parts[5]) or _leading_zero(parts[6])):
+            raise TraceFormatError(f"line {lineno}: leading zero in seq or payload_len")
         # a '-' is canonical only in the timestamp (e.g. 1e-05); negative
         # integers were rejected above, so one here is a "-0"
         if (
@@ -219,8 +222,16 @@ def _read_rows(handle: IO[str]) -> Iterator[PacketRecord]:
             yield PacketRecord(flow, seq, payload_len, ts)
 
 
+def _leading_zero(digits: str) -> bool:
+    """An integer field, already parsed by ``int``, written with a leading
+    zero (``0443``); ``0`` itself is canonical."""
+    return digits[0] == "0" and len(digits) > 1
+
+
 def _parse_flow(src_ip: str, dst_ip: str, src_port: str, dst_port: str) -> FlowId:
     flow = FlowId(ip_to_int(src_ip), ip_to_int(dst_ip), int(src_port), int(dst_port))
+    if _leading_zero(src_port) or _leading_zero(dst_port):
+        raise ValueError("leading zero in a port")
     if not (0 <= flow.src_port <= 0xFFFF and 0 <= flow.dst_port <= 0xFFFF):
         raise ValueError("port out of range")
     return flow

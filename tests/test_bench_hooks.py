@@ -35,3 +35,21 @@ def test_traced_method_resolves(module_name: str, cls_name: str, attr: str) -> N
     cls = getattr(importlib.import_module(module_name), cls_name)
     # the tracer replaces the entry in the class's own namespace
     assert attr in cls.__dict__
+
+
+def test_validate_lemma_runs_the_traced_simulator(monkeypatch: pytest.MonkeyPatch) -> None:
+    """The traced run reports ``checkmodel.simulate_s`` by wrapping the
+    module-level ``simulate_flow_checks``; the CLI must reach it through
+    that name, or the metric reads 0."""
+    from reordermon import checkmodel, cli
+
+    calls = []
+    real = checkmodel.simulate_flow_checks
+
+    def recording(model, trials, seed=0):
+        calls.append(trials)
+        return real(model, trials, seed)
+
+    monkeypatch.setattr(checkmodel, "simulate_flow_checks", recording)
+    assert cli.main(["validate-lemma", "--preset", "two-equal-flows", "--trials", "3"]) == 0
+    assert calls == [3]

@@ -110,6 +110,19 @@ def test_validate_lemma_preset(tmp_path: Path, capsys: pytest.CaptureFixture) ->
     assert len(rows) == 2
 
 
+@pytest.mark.parametrize("trials", ["0", "-3"])
+def test_validate_lemma_trials_below_one_is_usage_error(
+    trials: str, tmp_path: Path, capsys: pytest.CaptureFixture
+) -> None:
+    out = tmp_path / "lemma"
+    code = run_cli("validate-lemma", "--preset", "all", "--trials", trials, "--out", str(out))
+    assert code == 1
+    captured = capsys.readouterr()
+    assert "--trials" in captured.err
+    assert captured.out == ""  # no preset was simulated
+    assert not out.exists()
+
+
 def test_validate_lemma_model_file(tmp_path: Path) -> None:
     model = {
         "flow_probs": [1.0],
@@ -145,7 +158,13 @@ def test_bad_flag_value_is_usage_error(trace_path: Path, tmp_path: Path) -> None
     assert code == 1
     # parameter values are checked before the trace is read: a missing
     # trace would otherwise exit 2
-    for flags in (("--buckets", "0"), ("--C", "0"), ("--alpha", "200", "--beta", "100")):
+    for flags in (
+        ("--buckets", "0"),
+        ("--C", "0"),
+        ("--alpha", "200", "--beta", "100"),
+        # one bucket, all of it for a two-stage HH table: neither structure
+        ("--algo", "hybrid", "--buckets", "1", "--hh-fraction", "1"),
+    ):
         for trace in (trace_path, tmp_path / "missing.csv"):
             code = run_cli("run", "--trace", str(trace), "--out", str(tmp_path / "o"), *flags)
             assert code == 1, flags

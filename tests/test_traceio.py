@@ -75,6 +75,12 @@ NON_CANONICAL_ROWS = (
     "0.2,10.0.0.1,10.0.1.1,443,50000,\uff11000,100",  # fullwidth digit one
     "0.2,10.0.0.010,10.0.1.1,443,50000,1000,100",
     "0.2,10.0.0.1,10.0.01.1,443,50000,1000,100",
+    "0.2,10.0.0.1,10.0.1.1,0443,50000,1000,100",
+    "0.2,10.0.0.1,10.0.1.1,443,050000,1000,100",
+    "0.2,10.0.0.1,10.0.1.1,443,50000,01000,100",
+    "0.2,10.0.0.1,10.0.1.1,443,50000,1000,0100",
+    "0.2,10.0.0.1,10.0.1.1,443,50000,00,100",
+    "0.2,10.0.0.1,10.0.1.1,0443,050000,01000,0100",
 )
 
 
@@ -92,6 +98,9 @@ def test_malformed_row_names_line(tmp_path) -> None:
     for row in NON_CANONICAL_ROWS:
         with pytest.raises(TraceFormatError, match="line 3"):
             parse_text(TRACE_HEADER + "\n0.1,10.0.0.1,10.0.1.1,443,50000,900,100\n" + row + "\n")
+    # a lone zero is canonical
+    arrays, _ = parse_text(TRACE_HEADER + "\n0.1,10.0.0.1,10.0.1.1,0,50000,0,100\n")
+    assert arrays.seq.tolist() == [0] and arrays.flow_src_port.tolist() == [0]
     # a negative first timestamp cannot be caught as a decrease
     for ts in ("-0.1", "-0.0", "-1e-05"):
         with pytest.raises(TraceFormatError, match="line 2: negative timestamp"):
