@@ -25,9 +25,18 @@ validator, not a detector.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def _is_real(value) -> bool:
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -52,6 +61,24 @@ class CheckModel:
     delta: float
 
     def __post_init__(self) -> None:
+        # values may come from a JSON file: check types before arithmetic
+        for name in ("bucket", "target_prefix", "packets_per_check", "stream_length"):
+            if not _is_int(getattr(self, name)):
+                raise ValueError(f"{name} must be an integer")
+        for name in ("flow_prefix", "prefix_bucket"):
+            if not all(_is_int(v) for v in getattr(self, name)):
+                raise ValueError(f"{name} entries must be integers")
+        for name in ("p_min", "epsilon", "delta"):
+            if not _is_real(getattr(self, name)):
+                raise ValueError(f"{name} must be a number")
+        # the chained comparison is False for NaN as well
+        if not all(_is_real(p) and 0.0 <= p < math.inf for p in self.flow_probs):
+            raise ValueError("flow_probs entries must be finite and >= 0")
+        n_prefixes = len(self.prefix_bucket)
+        if not all(0 <= v < n_prefixes for v in self.flow_prefix):
+            raise ValueError("flow_prefix entries must index prefix_bucket")
+        if not 0 <= self.target_prefix < n_prefixes:
+            raise ValueError("target_prefix must index prefix_bucket")
         if abs(sum(self.flow_probs) - 1.0) > 1e-9:
             raise ValueError("flow_probs must sum to 1")
         if len(self.flow_probs) != len(self.flow_prefix):
@@ -133,8 +160,8 @@ def _flow_lookup(cdf: np.ndarray, flow_type: np.dtype) -> tuple[np.ndarray, np.n
     ``searchsorted(cdf, u, side="right")`` takes one value for every u in
     cell k = floor(u * _GRID), unless a cdf value lies strictly inside the
     cell; such a cell is mixed.  A cdf value on a cell edge splits nothing.
-    An unsorted cdf (from a negative probability, or from rounding that
-    leaves an entry above the final 1.0) makes every cell mixed: numpy's
+    An unsorted cdf (from rounding that leaves an entry above the final
+    1.0; negative probabilities are rejected) makes every cell mixed: numpy's
     search over it depends on the order of the keys, so it must see every
     draw, in stream order.
     """

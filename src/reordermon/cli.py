@@ -258,15 +258,18 @@ def _cmd_generate(args: argparse.Namespace) -> int:
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
     resolved = _resolve(args, ANALYZE_OPTS)
+    try:
+        params = AnalysisParams(
+            eps=resolved["eps"],
+            alpha=resolved["alpha"],
+            beta=resolved["beta"],
+            pcc_repetitions=resolved["pcc_reps"],
+            pcc_sample_fraction=resolved["pcc_frac"],
+            pcc_seed=resolved["pcc_seed"],
+        )
+    except ValueError as exc:  # bad parameter values, found before any trace is read
+        raise UsageError(str(exc)) from exc
     arrays = load_trace_arrays(args.trace)
-    params = AnalysisParams(
-        eps=resolved["eps"],
-        alpha=resolved["alpha"],
-        beta=resolved["beta"],
-        pcc_repetitions=resolved["pcc_reps"],
-        pcc_sample_fraction=resolved["pcc_frac"],
-        pcc_seed=resolved["pcc_seed"],
-    )
     analyze_trace(arrays, args.out, params)
     print(f"analysis written to {args.out}")
     return 0
@@ -312,6 +315,11 @@ def _cmd_validate_lemma(args: argparse.Namespace) -> int:
     models: dict[str, CheckModel] = {}
     if args.model:
         raw = json.loads(Path(args.model).read_text(encoding="ascii"))
+        if not isinstance(raw, dict):
+            raise ValueError(f"{args.model}: expected a JSON object")
+        for key in ("flow_probs", "flow_prefix", "prefix_bucket"):
+            if not isinstance(raw[key], list):
+                raise ValueError(f"{key} must be a list")
         models["model"] = CheckModel(
             flow_probs=tuple(raw["flow_probs"]),
             flow_prefix=tuple(raw["flow_prefix"]),

@@ -313,6 +313,17 @@ class AnalysisParams:
     pcc_sample_fraction: float = 0.005
     pcc_seed: int = 0
 
+    def __post_init__(self) -> None:
+        if not 0.0 < self.eps < 1.0:
+            raise ValueError("eps must lie in (0, 1)")
+        if self.alpha >= self.beta:
+            raise ValueError("alpha must be smaller than beta")
+        if self.pcc_repetitions < 1:
+            raise ValueError("pcc_repetitions must be >= 1")
+        # written so that NaN fails too
+        if not 0.0 < self.pcc_sample_fraction <= 1.0:
+            raise ValueError("pcc_sample_fraction must lie in (0, 1]")
+
 
 def analyze_trace(
     arrays: PacketArrays, out_dir: str | Path, params: AnalysisParams = AnalysisParams()

@@ -58,45 +58,75 @@ _DEF2 = ReorderDef.DEF2_GAP
 _DEF3 = ReorderDef.DEF3_BELOW_MAX
 
 
+def _flow_order(arrays: PacketArrays) -> tuple[np.ndarray, np.ndarray]:
+    """Packet positions sorted stably by flow id, and, for every sorted
+    packet after the first, whether the packet before it is of its flow."""
+    order = np.argsort(arrays.flow_id, kind="stable")
+    fid = arrays.flow_id[order]
+    return order, fid[1:] == fid[:-1]
+
+
 def compute_stats(arrays: PacketArrays) -> TraceStats:
-    """One pass over the trace's columns, exact counters for DEF1/DEF2/DEF3."""
-    # state per flow id: [n, o1, o2, o3, last_seq, expected_next, max_seq]
-    state: dict[int, list[int]] = {}
-    for fid, seq, length in zip(
-        arrays.flow_id.tolist(), arrays.seq.tolist(), arrays.payload_len.tolist()
-    ):
-        st = state.get(fid)
-        if st is None:
-            state[fid] = [1, 0, 0, 0, seq, seq + length, seq]
-            continue
-        if seq < st[4]:
-            st[1] += 1
-        if seq > st[5]:
-            st[2] += 1
-        if seq < st[6]:
-            st[3] += 1
-        elif seq > st[6]:
-            st[6] = seq
-        st[0] += 1
-        st[4] = seq
-        st[5] = seq + length
+    """Exact counters for DEF1/DEF2/DEF3 from one stable sort by flow.
 
+    Each packet is compared with its flow predecessor (DEF1: seq below the
+    previous seq; DEF2: seq beyond the previous seq + payload) and with the
+    running maximum of its flow's earlier seqs (DEF3).  ``flows`` is in the
+    order of each flow's first packet in the trace."""
+    if len(arrays) == 0:
+        return TraceStats({}, {}, 0)
+    order, same = _flow_order(arrays)
+    fid = arrays.flow_id[order]
+    seq = arrays.seq[order]
+    end = seq + arrays.payload_len[order]
+    # segmented running maximum: each flow's keys lie above every earlier
+    # flow's, so one cumulative maximum restarts at each flow
+    low = int(seq.min())
+    span = int(seq.max()) - low + 1
+    rank = np.concatenate(([0], np.cumsum(~same)))
+    if span * (int(rank[-1]) + 1) >= 1 << 63:
+        raise ValueError("seq values span too wide a range")
+    keys = rank * span + (seq - low)
+    running = np.maximum.accumulate(keys)
+
+    n_ids = arrays.flow_count
+    later = fid[1:]
+    n = np.bincount(fid, minlength=n_ids)
+    o1 = np.bincount(later[same & (seq[1:] < seq[:-1])], minlength=n_ids)
+    o2 = np.bincount(later[same & (seq[1:] > end[:-1])], minlength=n_ids)
+    o3 = np.bincount(later[same & (keys[1:] < running[:-1])], minlength=n_ids)
+    # the flows that have packets, in the order of their first packet
+    starts = np.flatnonzero(np.concatenate(([True], ~same)))
+    present = fid[starts][np.argsort(order[starts])]
+
+    counts = np.stack([n[present], o1[present], o2[present], o3[present]], axis=1)
     flows: dict[FlowId, FlowStats] = {}
-    for fid, st in state.items():
-        flow = arrays.flow(fid)
-        flows[flow] = FlowStats(flow, st[0], {_DEF1: st[1], _DEF2: st[2], _DEF3: st[3]})
+    for key, (count, c1, c2, c3) in zip(
+        zip(
+            arrays.flow_src_ip[present].tolist(),
+            arrays.flow_dst_ip[present].tolist(),
+            arrays.flow_src_port[present].tolist(),
+            arrays.flow_dst_port[present].tolist(),
+        ),
+        counts.tolist(),
+    ):
+        flow = FlowId(*key)
+        flows[flow] = FlowStats(flow, count, {_DEF1: c1, _DEF2: c2, _DEF3: c3})
 
+    # per-prefix sums, prefixes in the order of their first flow
+    bits, first, inverse = np.unique(
+        arrays.flow_prefix_bits[present], return_index=True, return_inverse=True
+    )
+    sums = np.zeros((len(bits), 4), dtype=np.int64)
+    np.add.at(sums, inverse, counts)
+    flow_counts = np.bincount(inverse, minlength=len(bits))
     prefixes: dict[Prefix, PrefixStats] = {}
-    for flow, fs in flows.items():
-        prefix = Prefix(flow.src_ip & PREFIX_MASK)
-        ps = prefixes.get(prefix)
-        if ps is None:
-            prefixes[prefix] = PrefixStats(prefix, fs.n, dict(fs.ooo), 1)
-        else:
-            ps.n += fs.n
-            ps.flow_count += 1
-            for d in (_DEF1, _DEF2, _DEF3):
-                ps.ooo[d] += fs.ooo[d]
+    for i in np.argsort(first).tolist():
+        prefix = Prefix(int(bits[i]))
+        count, c1, c2, c3 = sums[i].tolist()
+        prefixes[prefix] = PrefixStats(
+            prefix, count, {_DEF1: c1, _DEF2: c2, _DEF3: c3}, int(flow_counts[i])
+        )
     return TraceStats(flows, prefixes, len(arrays))
 
 
@@ -127,6 +157,36 @@ def eligible_flows(stats: TraceStats) -> list[FlowStats]:
     ]
 
 
+def _pcc_pool(stats: TraceStats, def_: ReorderDef) -> tuple[np.ndarray, np.ndarray]:
+    """x = O_f/N_f and y = (O_g-O_f)/(N_g-N_f) of every eligible flow."""
+    pool = eligible_flows(stats)
+    xs = np.empty(len(pool))
+    ys = np.empty(len(pool))
+    for i, fs in enumerate(pool):
+        ps = stats.prefixes[Prefix(fs.flow.src_ip & PREFIX_MASK)]
+        xs[i] = fs.ooo[def_] / fs.n
+        ys[i] = (ps.ooo[def_] - fs.ooo[def_]) / (ps.n - fs.n)
+    return xs, ys
+
+
+def _sampled_correlation(
+    pool: tuple[np.ndarray, np.ndarray], n_samples: int, rng: np.random.Generator
+) -> float:
+    pool_x, pool_y = pool
+    if len(pool_x) == 0:
+        raise UndefinedCorrelationError("no prefix has two or more flows")
+    picks = rng.integers(0, len(pool_x), n_samples)
+    xs = pool_x[picks]
+    ys = pool_y[picks]
+    dx = xs - xs.mean()
+    dy = ys - ys.mean()
+    denom = math.sqrt(float(np.dot(dx, dx))) * math.sqrt(float(np.dot(dy, dy)))
+    if denom == 0.0:
+        raise UndefinedCorrelationError("zero variance in sampled fractions")
+    # rounding can push a perfectly linear sample a hair past 1
+    return min(1.0, max(-1.0, float(np.dot(dx, dy) / denom)))
+
+
 def pearson_correlation(
     stats: TraceStats,
     n_samples: int,
@@ -143,24 +203,7 @@ def pearson_correlation(
     """
     if n_samples < 2:
         raise ValueError("n_samples must be >= 2")
-    pool = eligible_flows(stats)
-    if not pool:
-        raise UndefinedCorrelationError("no prefix has two or more flows")
-    picks = rng.integers(0, len(pool), n_samples)
-    xs = np.empty(n_samples)
-    ys = np.empty(n_samples)
-    for i, idx in enumerate(picks.tolist()):
-        fs = pool[idx]
-        ps = stats.prefixes[Prefix(fs.flow.src_ip & PREFIX_MASK)]
-        xs[i] = fs.ooo[def_] / fs.n
-        ys[i] = (ps.ooo[def_] - fs.ooo[def_]) / (ps.n - fs.n)
-    dx = xs - xs.mean()
-    dy = ys - ys.mean()
-    denom = math.sqrt(float(np.dot(dx, dx))) * math.sqrt(float(np.dot(dy, dy)))
-    if denom == 0.0:
-        raise UndefinedCorrelationError("zero variance in sampled fractions")
-    # rounding can push a perfectly linear sample a hair past 1
-    return min(1.0, max(-1.0, float(np.dot(dx, dy) / denom)))
+    return _sampled_correlation(_pcc_pool(stats, def_), n_samples, rng)
 
 
 @dataclass(frozen=True)
@@ -179,15 +222,19 @@ def mean_pearson_correlation(
     seed: int = 0,
 ) -> PccSummary:
     """Average correlation over repeated tests, each drawing a fresh sample
-    of ``sample_fraction`` of the eligible flows (at least 2)."""
-    pool_size = len(eligible_flows(stats))
-    n_samples = max(2, round(sample_fraction * pool_size))
+    of ``sample_fraction`` of the eligible flows (at least 2).  The same as
+    ``pearson_correlation`` called ``repetitions`` times with one generator,
+    but the pool of eligible flows is built once."""
+    if repetitions < 1:
+        raise ValueError("repetitions must be >= 1")
+    pool = _pcc_pool(stats, def_)
+    n_samples = max(2, round(sample_fraction * len(pool[0])))
     rng = np.random.default_rng(seed)
     values = []
     undefined = 0
     for _ in range(repetitions):
         try:
-            values.append(pearson_correlation(stats, n_samples, def_, rng))
+            values.append(_sampled_correlation(pool, n_samples, rng))
         except UndefinedCorrelationError:
             undefined += 1
     if not values:
@@ -221,32 +268,42 @@ class InterarrivalHistogram:
     def2_ooo: GapDistribution
 
 
+def _fill(dist: GapDistribution, gaps: np.ndarray) -> None:
+    """Put ``gaps`` (in trace order) into ``dist``, as ``add`` would one by one."""
+    if len(gaps) == 0:
+        return
+    logs = np.log2(np.maximum(gaps, 1e-9))
+    bins = np.floor(logs)
+    # np.log2 may differ from math.log2 in the last bits, which moves the
+    # floor only next to an integer: take math.log2 there
+    for i in np.flatnonzero(np.abs(logs - np.rint(logs)) < 1e-9).tolist():
+        bins[i] = math.floor(math.log2(max(float(gaps[i]), 1e-9)))
+    values, counts = np.unique(bins.astype(np.int64), return_counts=True)
+    dist.counts = dict(zip(values.tolist(), counts.tolist()))
+    # np.cumsum adds in order, like repeated ``total_gap += gap``
+    dist.total_gap = float(np.cumsum(gaps)[-1])
+    dist.packets = len(gaps)
+
+
 def interarrival_histogram(arrays: PacketArrays) -> InterarrivalHistogram:
     """Classify every non-first packet by its reorder outcome and bin the
     gap to its same-flow predecessor.  DEF1 and DEF2 are mutually exclusive
     per packet pair, so the three distributions partition the packets."""
     hist = InterarrivalHistogram(GapDistribution(), GapDistribution(), GapDistribution())
-    state: dict = {}  # flow id -> [last_seq, expected_next, last_ts]
-    for fid, seq, length, ts in zip(
-        arrays.flow_id.tolist(),
-        arrays.seq.tolist(),
-        arrays.payload_len.tolist(),
-        arrays.ts.tolist(),
-    ):
-        st = state.get(fid)
-        if st is not None:
-            gap = ts - st[2]
-            if seq < st[0]:
-                hist.def1_ooo.add(gap)
-            elif seq > st[1]:
-                hist.def2_ooo.add(gap)
-            else:
-                hist.in_order.add(gap)
-            st[0] = seq
-            st[1] = seq + length
-            st[2] = ts
-        else:
-            state[fid] = [seq, seq + length, ts]
+    order, same = _flow_order(arrays)
+    seq = arrays.seq[order]
+    end = seq + arrays.payload_len[order]
+    ts = arrays.ts[order]
+    cls_sorted = np.where(seq[1:] < seq[:-1], 1, np.where(seq[1:] > end[:-1], 2, 0))
+    # per packet in trace order: its gap and class (0 in order, 1 DEF1,
+    # 2 DEF2, -1 for the first packet of a flow)
+    later = order[1:][same]
+    gaps = np.zeros(len(arrays))
+    gaps[later] = (ts[1:] - ts[:-1])[same]
+    cls = np.full(len(arrays), -1)
+    cls[later] = cls_sorted[same]
+    for k, dist in enumerate((hist.in_order, hist.def1_ooo, hist.def2_ooo)):
+        _fill(dist, gaps[cls == k])
     return hist
 
 

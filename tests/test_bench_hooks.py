@@ -53,3 +53,35 @@ def test_validate_lemma_runs_the_traced_simulator(monkeypatch: pytest.MonkeyPatc
     monkeypatch.setattr(checkmodel, "simulate_flow_checks", recording)
     assert cli.main(["validate-lemma", "--preset", "two-equal-flows", "--trials", "3"]) == 0
     assert calls == [3]
+
+
+def test_analyze_runs_the_traced_oracle(
+    monkeypatch: pytest.MonkeyPatch, tmp_path: Path
+) -> None:
+    """The traced run reports ``oracle.compute_stats_s``,
+    ``oracle.interarrival_s`` and ``oracle.pcc_s`` by wrapping these names
+    inside ``reordermon.harness``; ``analyze`` must call each through them."""
+    from reordermon import cli, harness
+
+    trace = tmp_path / "trace.csv"
+    assert cli.main(
+        ["generate", "--out", str(trace), "--prefixes", "16", "--duration", "0.5",
+         "--bad-fraction", "0.5", "--seed", "3"]
+    ) == 0
+    calls = []
+    for name in ("compute_stats", "interarrival_histogram", "mean_pearson_correlation"):
+        real = getattr(harness, name)
+
+        def recording(*args, _name=name, _real=real, **kwargs):
+            calls.append(_name)
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(harness, name, recording)
+    out = tmp_path / "analysis"
+    assert cli.main(
+        ["analyze", "--trace", str(trace), "--out", str(out), "--pcc-reps", "3"]
+    ) == 0
+    assert sorted(set(calls)) == [
+        "compute_stats", "interarrival_histogram", "mean_pearson_correlation"
+    ]
+    assert calls.count("mean_pearson_correlation") == 2  # DEF1 and DEF2

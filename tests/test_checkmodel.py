@@ -96,6 +96,41 @@ def test_model_validation() -> None:
         CheckModel((1.0,), (0,), (0,), 0, 0, 0.0, 0, 100, 0.5, 0.5)
 
 
+@pytest.mark.parametrize(
+    "probs",
+    [(math.nan,), (1.5, -0.5), (math.inf, -math.inf), (math.inf,), (-0.0, -1e-12, 1.0), (True,)],
+)
+def test_model_rejects_bad_flow_probs(probs: tuple) -> None:
+    flows = tuple(range(len(probs)))
+    with pytest.raises(ValueError, match="flow_probs"):
+        CheckModel(probs, flows, (0,) * len(probs), 0, 0, 0.0, 4, 100, 0.5, 0.5)
+
+
+@pytest.mark.parametrize(
+    "field,value",
+    [
+        ("target_prefix", 0.5),
+        ("stream_length", 10.5),
+        ("packets_per_check", 2.5),
+        ("bucket", 0.0),
+        ("stream_length", True),
+        ("flow_prefix", (0.0,)),
+        ("prefix_bucket", (False,)),
+        ("flow_prefix", (1,)),
+        ("target_prefix", -1),
+        ("epsilon", "0.5"),
+    ],
+)
+def test_model_rejects_bad_field_values(field: str, value) -> None:
+    fields = dict(
+        flow_probs=(1.0,), flow_prefix=(0,), prefix_bucket=(0,), bucket=0, target_prefix=0,
+        p_min=0.0, packets_per_check=4, stream_length=100, epsilon=0.5, delta=0.5,
+    )
+    fields[field] = value
+    with pytest.raises(ValueError, match=field):
+        CheckModel(**fields)
+
+
 def test_presets_have_usable_bounds() -> None:
     presets = check_model_presets()
     assert len(presets) >= 3
@@ -227,10 +262,10 @@ def small_model(probs: tuple[float, ...], c: int = 2, stream_length: int = 300) 
 
 
 def test_unsorted_cdf_matches_reference() -> None:
-    # negative probabilities, and rounding that leaves an entry above the
-    # final 1.0, both make the cumulative distribution unsorted; numpy's
-    # search over an unsorted array depends on the order of its keys
-    for probs in ((0.59, 0.89, 0.32, -0.82, 0.73, -0.71), (0.5, 0.5 + 4e-10, 0.0)):
+    # rounding that leaves one or more entries above the final 1.0 makes the
+    # cumulative distribution unsorted; numpy's search over an unsorted
+    # array depends on the order of its keys
+    for probs in ((0.2, 0.8 + 5e-10, 0.0, 0.0, 0.0), (0.5, 0.5 + 4e-10, 0.0)):
         assert_matches_reference(small_model(probs), trials=5, seed=9)
 
 

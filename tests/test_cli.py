@@ -97,6 +97,33 @@ def test_analyze_writes_artifacts(trace_path: Path, tmp_path: Path) -> None:
     assert (out / "pcc.csv").exists()
 
 
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ("--pcc-reps", "-3"),
+        ("--pcc-reps", "0"),
+        ("--pcc-frac", "-1"),
+        ("--pcc-frac", "0"),
+        ("--pcc-frac", "nan"),
+        ("--pcc-frac", "inf"),
+        ("--pcc-frac", "1.5"),
+        ("--eps", "0"),
+        ("--eps", "1"),
+        ("--alpha", "200", "--beta", "100"),
+    ],
+)
+def test_analyze_bad_parameter_is_usage_error(
+    flags: tuple[str, ...], trace_path: Path, tmp_path: Path, capsys: pytest.CaptureFixture
+) -> None:
+    # parameter values are checked before the trace is read: a missing
+    # trace would otherwise exit 2
+    for trace in (trace_path, tmp_path / "missing.csv"):
+        out = tmp_path / "analysis"
+        assert run_cli("analyze", "--trace", str(trace), "--out", str(out), *flags) == 1
+        assert "error:" in capsys.readouterr().err
+        assert not out.exists()
+
+
 def test_validate_lemma_preset(tmp_path: Path, capsys: pytest.CaptureFixture) -> None:
     out = tmp_path / "lemma"
     code = run_cli(
@@ -139,6 +166,54 @@ def test_validate_lemma_model_file(tmp_path: Path) -> None:
     path = tmp_path / "model.json"
     path.write_text(json.dumps(model))
     assert run_cli("validate-lemma", "--model", str(path), "--trials", "20") == 0
+
+
+@pytest.mark.parametrize(
+    "field,value",
+    [
+        ("target_prefix", 0.5),
+        ("stream_length", 10.5),
+        ("packets_per_check", 2.5),
+        ("bucket", True),
+        ("flow_prefix", [0.0]),
+        ("prefix_bucket", [0.5]),
+        ("flow_probs", [float("nan")]),
+        ("flow_probs", [1.5, -0.5]),
+        ("flow_probs", 1.0),
+        ("flow_prefix", 0),
+    ],
+)
+def test_validate_lemma_bad_model_file_is_data_error(
+    field: str, value, tmp_path: Path, capsys: pytest.CaptureFixture
+) -> None:
+    model = {
+        "flow_probs": [0.5, 0.5],
+        "flow_prefix": [0, 0],
+        "prefix_bucket": [0],
+        "bucket": 0,
+        "target_prefix": 0,
+        "p_min": 0.0,
+        "packets_per_check": 4,
+        "stream_length": 200,
+        "epsilon": 0.5,
+        "delta": 0.5,
+    }
+    model[field] = value
+    if field == "flow_probs" and isinstance(value, list):
+        model["flow_prefix"] = [0] * len(value)
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(model))
+    assert run_cli("validate-lemma", "--model", str(path), "--trials", "5") == 2
+    assert field in capsys.readouterr().err
+
+
+def test_validate_lemma_model_file_not_an_object_is_data_error(
+    tmp_path: Path, capsys: pytest.CaptureFixture
+) -> None:
+    path = tmp_path / "model.json"
+    path.write_text("[1, 2]")
+    assert run_cli("validate-lemma", "--model", str(path), "--trials", "5") == 2
+    assert "JSON object" in capsys.readouterr().err
 
 
 def test_usage_error_exit_code() -> None:

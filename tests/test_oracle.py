@@ -4,9 +4,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from reordermon.model import FlowId, PacketRecord, Prefix, ReorderDef
+from reordermon.model import PREFIX_MASK, FlowId, PacketRecord, Prefix, ReorderDef
 from reordermon.oracle import (
+    FlowStats,
+    GapDistribution,
+    InterarrivalHistogram,
+    PccSummary,
     PrefixStats,
     TraceStats,
     UndefinedCorrelationError,
@@ -25,6 +30,166 @@ from conftest import make_flow, random_trace
 DEF1 = ReorderDef.DEF1_DECREASE
 DEF2 = ReorderDef.DEF2_GAP
 DEF3 = ReorderDef.DEF3_BELOW_MAX
+
+
+def reference_compute_stats(arrays: PacketArrays) -> TraceStats:
+    """Per-packet walk with one state record per flow: the reference for
+    the sort-based ``compute_stats``."""
+    # state per flow id: [n, o1, o2, o3, last_seq, expected_next, max_seq]
+    state: dict[int, list[int]] = {}
+    for fid, seq, length in zip(
+        arrays.flow_id.tolist(), arrays.seq.tolist(), arrays.payload_len.tolist()
+    ):
+        st_ = state.get(fid)
+        if st_ is None:
+            state[fid] = [1, 0, 0, 0, seq, seq + length, seq]
+            continue
+        if seq < st_[4]:
+            st_[1] += 1
+        if seq > st_[5]:
+            st_[2] += 1
+        if seq < st_[6]:
+            st_[3] += 1
+        elif seq > st_[6]:
+            st_[6] = seq
+        st_[0] += 1
+        st_[4] = seq
+        st_[5] = seq + length
+
+    flows: dict[FlowId, FlowStats] = {}
+    for fid, st_ in state.items():
+        flow = arrays.flow(fid)
+        flows[flow] = FlowStats(flow, st_[0], {DEF1: st_[1], DEF2: st_[2], DEF3: st_[3]})
+
+    prefixes: dict[Prefix, PrefixStats] = {}
+    for flow, fs in flows.items():
+        prefix = Prefix(flow.src_ip & PREFIX_MASK)
+        ps = prefixes.get(prefix)
+        if ps is None:
+            prefixes[prefix] = PrefixStats(prefix, fs.n, dict(fs.ooo), 1)
+        else:
+            ps.n += fs.n
+            ps.flow_count += 1
+            for d in (DEF1, DEF2, DEF3):
+                ps.ooo[d] += fs.ooo[d]
+    return TraceStats(flows, prefixes, len(arrays))
+
+
+def reference_interarrival_histogram(arrays: PacketArrays) -> InterarrivalHistogram:
+    """Per-packet walk adding one gap at a time: the reference for the
+    sort-based ``interarrival_histogram``."""
+    hist = InterarrivalHistogram(GapDistribution(), GapDistribution(), GapDistribution())
+    state: dict = {}  # flow id -> [last_seq, expected_next, last_ts]
+    for fid, seq, length, ts in zip(
+        arrays.flow_id.tolist(),
+        arrays.seq.tolist(),
+        arrays.payload_len.tolist(),
+        arrays.ts.tolist(),
+    ):
+        st_ = state.get(fid)
+        if st_ is not None:
+            gap = ts - st_[2]
+            if seq < st_[0]:
+                hist.def1_ooo.add(gap)
+            elif seq > st_[1]:
+                hist.def2_ooo.add(gap)
+            else:
+                hist.in_order.add(gap)
+            st_[0] = seq
+            st_[1] = seq + length
+            st_[2] = ts
+        else:
+            state[fid] = [seq, seq + length, ts]
+    return hist
+
+
+def assert_oracle_matches_reference(arrays: PacketArrays) -> None:
+    stats = compute_stats(arrays)
+    ref = reference_compute_stats(arrays)
+    # list comparison: the key order of both dicts must match as well
+    assert list(stats.flows.items()) == list(ref.flows.items())
+    assert list(stats.prefixes.items()) == list(ref.prefixes.items())
+    assert stats.packet_count == ref.packet_count
+    hist = interarrival_histogram(arrays)
+    ref_hist = reference_interarrival_histogram(arrays)
+    for name in ("in_order", "def1_ooo", "def2_ooo"):
+        got, want = getattr(hist, name), getattr(ref_hist, name)
+        assert got.counts == want.counts, name
+        assert got.packets == want.packets, name
+        assert got.total_gap.hex() == want.total_gap.hex(), name
+
+
+def _below(x: float) -> float:
+    return float(np.nextafter(x, 0.0))
+
+
+# exact powers of two and the doubles just below them, plus zero and
+# sub-1e-9 gaps that take the 1e-9 floor
+GAPS = (
+    [0.0, 1e-12, 1e-9, _below(1e-9), 3e-4, 0.1]
+    + [2.0**k for k in range(-30, 5)]
+    + [_below(2.0**k) for k in range(-30, 5)]
+)
+
+
+@st.composite
+def packet_columns(draw) -> PacketArrays:
+    """A small trace built column by column.  Flow ids are drawn freely, so
+    they need not follow appearance order and some flows have no packets;
+    seqs come from a narrow range (ties for DEF3), optionally just below
+    2^32; gaps are powers of two, the doubles below them, or tiny."""
+    n_flows = draw(st.integers(1, 7))
+    n = draw(st.integers(0, 80))
+
+    def ints(lo: int, hi: int) -> st.SearchStrategy[list[int]]:
+        return st.lists(st.integers(lo, hi), min_size=n, max_size=n)
+
+    fids = draw(ints(0, n_flows - 1))
+    base = draw(st.sampled_from([0, 2**32 - 3000]))
+    seqs = [base + s for s in draw(ints(0, 2999))]
+    lens = draw(ints(0, 1500))
+    gaps = draw(st.lists(st.sampled_from(GAPS), min_size=n, max_size=n))
+    ts = np.cumsum(np.asarray(gaps, dtype=np.float64)) + draw(st.sampled_from([0.0, 0.75, 1e3]))
+    src = [0x0A000000 + (draw(st.integers(0, 2)) << 8) + i + 1 for i in range(n_flows)]
+    return PacketArrays(
+        ts=ts,
+        seq=np.asarray(seqs, dtype=np.int64),
+        payload_len=np.asarray(lens, dtype=np.int64),
+        flow_id=np.asarray(fids, dtype=np.int64),
+        flow_src_ip=np.asarray(src, dtype=np.int64),
+        flow_dst_ip=np.full(n_flows, 0xAC100001, dtype=np.int64),
+        flow_src_port=np.full(n_flows, 443, dtype=np.int64),
+        flow_dst_port=np.arange(10000, 10000 + n_flows, dtype=np.int64),
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(arrays=packet_columns())
+def test_oracle_matches_reference_on_random_columns(arrays: PacketArrays) -> None:
+    assert_oracle_matches_reference(arrays)
+
+
+@pytest.mark.parametrize("seed", [3, 66])
+def test_oracle_matches_reference_on_synthetic_and_subsets(seed: int) -> None:
+    arrays, _ = generate_synthetic_arrays(
+        SynthConfig(n_prefixes=48, seed=seed, duration_seconds=1.0, bad_prefix_fraction=0.3)
+    )
+    assert_oracle_matches_reference(arrays)
+    # drop whole flows (the flow tables keep them) and single packets
+    assert_oracle_matches_reference(arrays.subset(arrays.flow_id % 3 != 1))
+    assert_oracle_matches_reference(arrays.subset(np.arange(len(arrays)) % 5 != 0))
+    assert_oracle_matches_reference(arrays.subset(np.arange(len(arrays)) < 1))
+
+
+@pytest.mark.parametrize("gap", GAPS)
+def test_interarrival_bin_at_and_below_powers_of_two(gap: float) -> None:
+    arrays = PacketArrays.from_records(
+        [PacketRecord(make_flow(0), 1000, 100, 0.0), PacketRecord(make_flow(0), 1100, 100, gap)]
+    )
+    assert interarrival_histogram(arrays).in_order.counts == {
+        int(math.floor(math.log2(max(gap, 1e-9)))): 1
+    }
+    assert_oracle_matches_reference(arrays)
 
 
 def quadratic_recount(records: list[PacketRecord]) -> dict[FlowId, tuple[int, int, int, int]]:
@@ -174,6 +339,54 @@ def test_pcc_bounded_on_synthetic_trace() -> None:
     summary = mean_pearson_correlation(stats, DEF1, repetitions=20, seed=1)
     assert -1.0 <= summary.mean_r <= 1.0
     assert summary.repetitions + summary.undefined_repetitions == 20
+
+
+def repeated_pearson(
+    stats: TraceStats, def_: ReorderDef, repetitions: int, sample_fraction: float, seed: int
+) -> PccSummary:
+    """The mean over a loop of ``pearson_correlation`` with one shared rng."""
+    n_samples = max(2, round(sample_fraction * len(eligible_flows(stats))))
+    rng = np.random.default_rng(seed)
+    values = []
+    undefined = 0
+    for _ in range(repetitions):
+        try:
+            values.append(pearson_correlation(stats, n_samples, def_, rng))
+        except UndefinedCorrelationError:
+            undefined += 1
+    if not values:
+        raise UndefinedCorrelationError("every repetition had zero variance")
+    return PccSummary(float(np.mean(values)), len(values), undefined, n_samples)
+
+
+def test_mean_pcc_matches_repeated_pearson() -> None:
+    arrays, _ = generate_synthetic_arrays(
+        SynthConfig(n_prefixes=128, seed=5, duration_seconds=2.0, bad_prefix_fraction=0.2)
+    )
+    stats = compute_stats(arrays)
+    saw_undefined = False
+    for def_ in (DEF1, DEF2):
+        for repetitions, fraction, seed in ((20, 0.005, 1), (50, 0.0, 7), (5, 0.2, 0), (1, 1.0, 3)):
+            summary = mean_pearson_correlation(stats, def_, repetitions, fraction, seed)
+            assert summary == repeated_pearson(stats, def_, repetitions, fraction, seed)
+            saw_undefined |= summary.undefined_repetitions > 0
+    assert saw_undefined
+    # every repetition undefined: both raise
+    flat = compute_stats(
+        PacketArrays.from_records(
+            merge(two_flow_prefix(0, [1000, 1100]), two_flow_prefix(1, [1000, 1100]))
+        )
+    )
+    for summarize in (mean_pearson_correlation, repeated_pearson):
+        with pytest.raises(UndefinedCorrelationError):
+            summarize(flat, DEF1, 10, 0.5, 0)
+
+
+def test_mean_pcc_rejects_no_repetitions() -> None:
+    stats = compute_stats(PacketArrays.from_records(flow_packets(make_flow(0), [1000])))
+    for repetitions in (0, -3):
+        with pytest.raises(ValueError, match="repetitions"):
+            mean_pearson_correlation(stats, DEF1, repetitions=repetitions)
 
 
 def test_interarrival_uniform_gaps_single_bin() -> None:
