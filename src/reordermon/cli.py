@@ -287,11 +287,13 @@ def _cmd_run(args: argparse.Namespace) -> int:
     return 0
 
 
+# grid-hybrid always runs the hybrid, so it takes no --algo
 GRID_DETECTOR_OPTS = tuple(
     Opt(o.name, o.parse, tuple(round(0.1 * k, 1) for k in range(1, 10)), o.help)
     if o.name == "hh-fraction"
     else o
     for o in DETECTOR_OPTS
+    if o.name != "algo"
 )
 
 
@@ -419,7 +421,7 @@ def build_parser() -> _Parser:
     p_grid.add_argument("--trace", required=True)
     p_grid.add_argument("--out", required=True, help="output directory")
     p_grid.add_argument("--config", help="key=value config file")
-    _add_opts(p_grid, DETECTOR_OPTS)
+    _add_opts(p_grid, GRID_DETECTOR_OPTS)
     p_grid.set_defaults(handler=_cmd_grid_hybrid)
 
     p_lem = sub.add_parser(

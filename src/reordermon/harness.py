@@ -13,6 +13,8 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Optional, Sequence
 
+import numpy as np
+
 from .checkmodel import CheckModel
 from .controlplane import AggregatorMode, AggregatorParams, ReportAggregator
 from .heavyhitter import HHParams, ReorderHeavyHitter
@@ -72,6 +74,13 @@ class ExperimentSpec:
             raise ValueError("alpha must be smaller than beta")
         if not 0.0 < self.eps < 1.0:
             raise ValueError("eps must lie in (0, 1)")
+        for name, values in (
+            ("bucket_counts", self.bucket_counts),
+            ("seeds", self.seeds),
+            ("hh_fractions", self.fractions),
+        ):
+            if not values:
+                raise ValueError(f"{name} must not be empty")
         # build every parameter set a run uses, so a bad value fails here,
         # before any trace is read
         aggregator_params(self)
@@ -166,11 +175,10 @@ def truth_sets(
     The beta set requires at least beta packets; the alpha set requires
     strictly more than alpha packets (it is the false-positive reference)."""
     beta_set = ground_truth(stats, spec.eps, spec.alpha, spec.beta, spec.reorder_def).heavy_set
-    alpha_set = frozenset(
-        ps.prefix
-        for ps in stats.prefixes.values()
-        if ps.n > spec.alpha and ps.ooo[spec.reorder_def] > spec.eps * ps.n
-    )
+    # packet counts are integers: more than alpha is at least alpha + 1
+    alpha_set = ground_truth(
+        stats, spec.eps, spec.alpha, spec.alpha + 1, spec.reorder_def
+    ).heavy_set
     return beta_set, alpha_set
 
 
@@ -336,11 +344,7 @@ def analyze_trace(
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     stats = compute_stats(arrays)
-    d1, d2, d3 = (
-        ReorderDef.DEF1_DECREASE,
-        ReorderDef.DEF2_GAP,
-        ReorderDef.DEF3_BELOW_MAX,
-    )
+    d1, d2 = ReorderDef.DEF1_DECREASE, ReorderDef.DEF2_GAP
 
     meta = arrays.meta()
     write_json(
@@ -358,14 +362,19 @@ def analyze_trace(
 
     prefix_rows = [
         {
-            "prefix": ps.prefix.dotted(),
-            "packets": ps.n,
-            "flows": ps.flow_count,
-            "ooo_def1": ps.ooo[d1],
-            "ooo_def2": ps.ooo[d2],
-            "ooo_def3": ps.ooo[d3],
+            "prefix": Prefix(bits).dotted(),
+            "packets": n,
+            "flows": flows,
+            "ooo_def1": o1,
+            "ooo_def2": o2,
+            "ooo_def3": o3,
         }
-        for ps in sorted(stats.prefixes.values(), key=lambda ps: ps.prefix.bits)
+        for bits, n, flows, (o1, o2, o3) in zip(
+            stats.prefix_bits.tolist(),
+            stats.prefix_n.tolist(),
+            stats.prefix_flows.tolist(),
+            stats.prefix_ooo.tolist(),
+        )
     ]
     write_csv(
         out / "prefix_stats.csv",
@@ -377,13 +386,13 @@ def analyze_trace(
     for def_ in (d1, d2):
         truth = ground_truth(stats, params.eps, params.alpha, params.beta, def_)
         for prefix in sorted(truth.heavy_set, key=lambda p: p.bits):
-            ps = stats.prefixes[prefix]
+            row = int(np.searchsorted(stats.prefix_bits, prefix.bits))
             truth_rows.append(
                 {
                     "def": NUMBER_BY_DEF[def_],
                     "prefix": prefix.dotted(),
-                    "packets": ps.n,
-                    "ooo": ps.ooo[def_],
+                    "packets": int(stats.prefix_n[row]),
+                    "ooo": int(stats.prefix_ooo[row, def_.value - 1]),
                 }
             )
     write_csv(out / "ground_truth.csv", ("def", "prefix", "packets", "ooo"), truth_rows)
@@ -433,19 +442,17 @@ def analyze_trace(
             hist_rows.append({"class": name, "bin_log2": bin_, "count": count})
     write_csv(out / "interarrival.csv", ("class", "bin_log2", "count"), hist_rows)
 
-    breakdown = flow_size_reorder_breakdown(stats, d1)
     breakdown_rows = []
-    for prefix in sorted(breakdown, key=lambda p: p.bits):
-        entry = breakdown[prefix]
-        for bin_ in sorted(entry.flow_count_by_bin):
+    for prefix, entry in flow_size_reorder_breakdown(stats, d1).items():
+        for bin_, count in entry.flow_count_by_bin.items():
             fraction = ""
             if entry.ooo_fraction_by_bin is not None:
-                fraction = entry.ooo_fraction_by_bin.get(bin_, 0.0)
+                fraction = entry.ooo_fraction_by_bin[bin_]
             breakdown_rows.append(
                 {
                     "prefix": prefix.dotted(),
                     "size_bin": bin_,
-                    "flow_count": entry.flow_count_by_bin[bin_],
+                    "flow_count": count,
                     "ooo_fraction": fraction,
                 }
             )

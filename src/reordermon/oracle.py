@@ -1,6 +1,6 @@
 """Exhaustive per-flow ground truth and the traffic-characterization analyses.
 
-This is the memory-unconstrained baseline: one state record per flow, exact
+This is the memory-unconstrained baseline: one row of counters per flow, exact
 out-of-order counts under all three definitions at once.  It exists to
 produce ground truth and workload characterizations for the detectors, not
 to be a detector itself.
@@ -9,13 +9,12 @@ to be a detector itself.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
 
-from .model import FlowId, Prefix, PREFIX_MASK, ReorderDef
+from .model import Prefix, ReorderDef
 from .traceio import PacketArrays
 
 
@@ -23,25 +22,22 @@ class UndefinedCorrelationError(ValueError):
     """Raised when the correlation coefficient has a zero-variance input."""
 
 
-@dataclass(slots=True)
-class FlowStats:
-    flow: FlowId
-    n: int
-    ooo: dict[ReorderDef, int]
-
-
-@dataclass(slots=True)
-class PrefixStats:
-    prefix: Prefix
-    n: int
-    ooo: dict[ReorderDef, int]
-    flow_count: int
-
-
-@dataclass
+@dataclass(frozen=True, eq=False)
 class TraceStats:
-    flows: dict[FlowId, FlowStats]
-    prefixes: dict[Prefix, PrefixStats]
+    """Exact per-flow and per-prefix counters, one array per column.
+
+    Flow rows are in the order of each flow's first packet in the trace;
+    prefix rows are in ascending ``bits``.  ``flow_ooo`` and ``prefix_ooo``
+    hold one column per definition, at ``def_.value - 1``."""
+
+    flow_id: np.ndarray  # the PacketArrays flow id
+    flow_n: np.ndarray
+    flow_ooo: np.ndarray  # flows x 3
+    flow_prefix: np.ndarray  # row of the flow's prefix
+    prefix_bits: np.ndarray
+    prefix_n: np.ndarray
+    prefix_ooo: np.ndarray  # prefixes x 3
+    prefix_flows: np.ndarray
     packet_count: int
 
 
@@ -51,11 +47,6 @@ class GroundTruth:
 
     heavy_set: frozenset[Prefix]
     small_exempt_set: frozenset[Prefix]
-
-
-_DEF1 = ReorderDef.DEF1_DECREASE
-_DEF2 = ReorderDef.DEF2_GAP
-_DEF3 = ReorderDef.DEF3_BELOW_MAX
 
 
 def _flow_order(arrays: PacketArrays) -> tuple[np.ndarray, np.ndarray]:
@@ -71,10 +62,12 @@ def compute_stats(arrays: PacketArrays) -> TraceStats:
 
     Each packet is compared with its flow predecessor (DEF1: seq below the
     previous seq; DEF2: seq beyond the previous seq + payload) and with the
-    running maximum of its flow's earlier seqs (DEF3).  ``flows`` is in the
-    order of each flow's first packet in the trace."""
+    running maximum of its flow's earlier seqs (DEF3).  Flows without
+    packets have no row."""
     if len(arrays) == 0:
-        return TraceStats({}, {}, 0)
+        none = np.zeros(0, dtype=np.int64)
+        table = np.zeros((0, 3), dtype=np.int64)
+        return TraceStats(none, none, table, none, none, none, table, none, 0)
     order, same = _flow_order(arrays)
     fid = arrays.flow_id[order]
     seq = arrays.seq[order]
@@ -91,43 +84,40 @@ def compute_stats(arrays: PacketArrays) -> TraceStats:
 
     n_ids = arrays.flow_count
     later = fid[1:]
-    n = np.bincount(fid, minlength=n_ids)
-    o1 = np.bincount(later[same & (seq[1:] < seq[:-1])], minlength=n_ids)
-    o2 = np.bincount(later[same & (seq[1:] > end[:-1])], minlength=n_ids)
-    o3 = np.bincount(later[same & (keys[1:] < running[:-1])], minlength=n_ids)
     # the flows that have packets, in the order of their first packet
     starts = np.flatnonzero(np.concatenate(([True], ~same)))
     present = fid[starts][np.argsort(order[starts])]
-
-    counts = np.stack([n[present], o1[present], o2[present], o3[present]], axis=1)
-    flows: dict[FlowId, FlowStats] = {}
-    for key, (count, c1, c2, c3) in zip(
-        zip(
-            arrays.flow_src_ip[present].tolist(),
-            arrays.flow_dst_ip[present].tolist(),
-            arrays.flow_src_port[present].tolist(),
-            arrays.flow_dst_port[present].tolist(),
-        ),
-        counts.tolist(),
-    ):
-        flow = FlowId(*key)
-        flows[flow] = FlowStats(flow, count, {_DEF1: c1, _DEF2: c2, _DEF3: c3})
-
-    # per-prefix sums, prefixes in the order of their first flow
-    bits, first, inverse = np.unique(
-        arrays.flow_prefix_bits[present], return_index=True, return_inverse=True
+    flow_n = np.bincount(fid, minlength=n_ids)[present]
+    flow_ooo = np.stack(
+        [
+            np.bincount(later[same & outcome], minlength=n_ids)[present]
+            for outcome in (seq[1:] < seq[:-1], seq[1:] > end[:-1], keys[1:] < running[:-1])
+        ],
+        axis=1,
     )
-    sums = np.zeros((len(bits), 4), dtype=np.int64)
-    np.add.at(sums, inverse, counts)
-    flow_counts = np.bincount(inverse, minlength=len(bits))
-    prefixes: dict[Prefix, PrefixStats] = {}
-    for i in np.argsort(first).tolist():
-        prefix = Prefix(int(bits[i]))
-        count, c1, c2, c3 = sums[i].tolist()
-        prefixes[prefix] = PrefixStats(
-            prefix, count, {_DEF1: c1, _DEF2: c2, _DEF3: c3}, int(flow_counts[i])
-        )
-    return TraceStats(flows, prefixes, len(arrays))
+
+    prefix_bits, flow_prefix = np.unique(
+        arrays.flow_prefix_bits[present], return_inverse=True
+    )
+    prefix_n = np.zeros(len(prefix_bits), dtype=np.int64)
+    np.add.at(prefix_n, flow_prefix, flow_n)
+    prefix_ooo = np.zeros((len(prefix_bits), 3), dtype=np.int64)
+    np.add.at(prefix_ooo, flow_prefix, flow_ooo)
+    return TraceStats(
+        flow_id=present,
+        flow_n=flow_n,
+        flow_ooo=flow_ooo,
+        flow_prefix=flow_prefix,
+        prefix_bits=prefix_bits,
+        prefix_n=prefix_n,
+        prefix_ooo=prefix_ooo,
+        prefix_flows=np.bincount(flow_prefix, minlength=len(prefix_bits)),
+        packet_count=len(arrays),
+    )
+
+
+def _prefix_set(stats: TraceStats, mask: np.ndarray) -> frozenset[Prefix]:
+    return frozenset(Prefix(bits) for bits in stats.prefix_bits[mask].tolist())
 
 
 def ground_truth(
@@ -139,34 +129,20 @@ def ground_truth(
         raise ValueError("eps must lie in (0, 1)")
     if alpha >= beta:
         raise ValueError("alpha must be smaller than beta")
-    heavy = frozenset(
-        ps.prefix
-        for ps in stats.prefixes.values()
-        if ps.n >= beta and ps.ooo[def_] > eps * ps.n
-    )
-    small = frozenset(ps.prefix for ps in stats.prefixes.values() if ps.n <= alpha)
-    return GroundTruth(heavy, small)
-
-
-def eligible_flows(stats: TraceStats) -> list[FlowStats]:
-    """Flows whose prefix has at least two flows (the correlation sample space)."""
-    return [
-        fs
-        for fs in stats.flows.values()
-        if stats.prefixes[Prefix(fs.flow.src_ip & PREFIX_MASK)].flow_count >= 2
-    ]
+    n = stats.prefix_n
+    heavy = (n >= beta) & (stats.prefix_ooo[:, def_.value - 1] > eps * n)
+    return GroundTruth(_prefix_set(stats, heavy), _prefix_set(stats, n <= alpha))
 
 
 def _pcc_pool(stats: TraceStats, def_: ReorderDef) -> tuple[np.ndarray, np.ndarray]:
-    """x = O_f/N_f and y = (O_g-O_f)/(N_g-N_f) of every eligible flow."""
-    pool = eligible_flows(stats)
-    xs = np.empty(len(pool))
-    ys = np.empty(len(pool))
-    for i, fs in enumerate(pool):
-        ps = stats.prefixes[Prefix(fs.flow.src_ip & PREFIX_MASK)]
-        xs[i] = fs.ooo[def_] / fs.n
-        ys[i] = (ps.ooo[def_] - fs.ooo[def_]) / (ps.n - fs.n)
-    return xs, ys
+    """x = O_f/N_f and y = (O_g-O_f)/(N_g-N_f) of every flow whose prefix
+    has at least two flows (the correlation sample space), in flow order."""
+    eligible = stats.prefix_flows[stats.flow_prefix] >= 2
+    prefix = stats.flow_prefix[eligible]
+    n_f = stats.flow_n[eligible]
+    o_f = stats.flow_ooo[eligible, def_.value - 1]
+    o_g = stats.prefix_ooo[prefix, def_.value - 1]
+    return o_f / n_f, (o_g - o_f) / (stats.prefix_n[prefix] - n_f)
 
 
 def _sampled_correlation(
@@ -331,24 +307,32 @@ def flow_size_reorder_breakdown(
     fraction of the prefix's out-of-order packets those flows contribute.
 
     ``size_bins`` are inclusive upper bounds; sizes above the last bound go
-    to an overflow bin with index ``len(size_bins)``."""
+    to an overflow bin with index ``len(size_bins)``.  Prefixes and bins
+    come in ascending order."""
     edges = list(size_bins)
     if edges != sorted(edges):
         raise ValueError("size_bins must be sorted ascending")
-    per_prefix_counts: dict[Prefix, dict[int, int]] = {}
-    per_prefix_ooo: dict[Prefix, dict[int, int]] = {}
-    for fs in stats.flows.values():
-        prefix = Prefix(fs.flow.src_ip & PREFIX_MASK)
-        bin_ = bisect_left(edges, fs.n)
-        counts = per_prefix_counts.setdefault(prefix, {})
-        counts[bin_] = counts.get(bin_, 0) + 1
-        ooo = per_prefix_ooo.setdefault(prefix, {})
-        ooo[bin_] = ooo.get(bin_, 0) + fs.ooo[def_]
+    # side="left" puts a size equal to a bound in that bound's bin
+    bins = np.searchsorted(np.asarray(edges, dtype=np.int64), stats.flow_n, side="left")
+    n_bins = len(edges) + 1
+    groups, group = np.unique(stats.flow_prefix * n_bins + bins, return_inverse=True)
+    group_ooo = np.zeros(len(groups), dtype=np.int64)
+    np.add.at(group_ooo, group, stats.flow_ooo[:, def_.value - 1])
+    rows, group_bins = np.divmod(groups, n_bins)
+    prefix_bits = stats.prefix_bits.tolist()
+    prefix_ooo = stats.prefix_ooo[:, def_.value - 1].tolist()
     out: dict[Prefix, PrefixBreakdown] = {}
-    for prefix, counts in per_prefix_counts.items():
-        o_g = stats.prefixes[prefix].ooo[def_]
-        fractions = None
-        if o_g > 0:
-            fractions = {b: c / o_g for b, c in per_prefix_ooo[prefix].items()}
-        out[prefix] = PrefixBreakdown(prefix, counts, fractions)
+    for row, bin_, count, ooo in zip(
+        rows.tolist(),
+        group_bins.tolist(),
+        np.bincount(group, minlength=len(groups)).tolist(),
+        group_ooo.tolist(),
+    ):
+        prefix = Prefix(prefix_bits[row])
+        if prefix not in out:
+            out[prefix] = PrefixBreakdown(prefix, {}, {} if prefix_ooo[row] > 0 else None)
+        entry = out[prefix]
+        entry.flow_count_by_bin[bin_] = count
+        if entry.ooo_fraction_by_bin is not None:
+            entry.ooo_fraction_by_bin[bin_] = ooo / prefix_ooo[row]
     return out

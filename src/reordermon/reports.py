@@ -1,12 +1,11 @@
-"""The detector-to-aggregator report record and its CSV form."""
+"""The detector-to-aggregator report record."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, TextIO
 
-from .model import Prefix, ip_to_int
+from .model import Prefix
 
 
 class ReportSource(Enum):
@@ -24,28 +23,3 @@ class Report:
     n: int
     o: int
     source: ReportSource
-
-
-REPORT_HEADER = "prefix,n,o,source"
-
-
-def write_reports(reports: Iterable[Report], out: TextIO) -> None:
-    out.write(REPORT_HEADER + "\n")
-    for rep in reports:
-        out.write(f"{rep.prefix.dotted()},{rep.n},{rep.o},{rep.source.value}\n")
-
-
-def read_reports(lines: Iterable[str]) -> list[Report]:
-    it = iter(lines)
-    header = next(it, None)
-    if header is None or header.strip() != REPORT_HEADER:
-        raise ValueError("missing report header")
-    out = []
-    for line in it:
-        line = line.strip()
-        if not line:
-            continue
-        prefix_s, n_s, o_s, source_s = line.split(",")
-        bits = ip_to_int(prefix_s.split("/")[0])
-        out.append(Report(Prefix(bits), int(n_s), int(o_s), ReportSource(source_s)))
-    return out

@@ -2,7 +2,9 @@ from __future__ import annotations
 
 import random
 
-from reordermon.model import FlowId, PacketRecord
+from reordermon.model import FlowId, PacketRecord, Prefix
+from reordermon.oracle import TraceStats
+from reordermon.traceio import PacketArrays
 
 
 def make_flow(i: int, prefix: int = 0x0A000000) -> FlowId:
@@ -39,3 +41,26 @@ def random_trace(
             )
         )
     return records
+
+
+def stats_tables(
+    stats: TraceStats, arrays: PacketArrays
+) -> tuple[dict[FlowId, tuple[int, ...]], dict[Prefix, tuple[int, ...]]]:
+    """``stats`` as ``{flow: (n, o1, o2, o3)}`` in flow-row order and
+    ``{prefix: (n, flows, o1, o2, o3)}`` in prefix-row order."""
+    flows = {
+        arrays.flow(fid): (n, *ooo)
+        for fid, n, ooo in zip(
+            stats.flow_id.tolist(), stats.flow_n.tolist(), stats.flow_ooo.tolist()
+        )
+    }
+    prefixes = {
+        Prefix(bits): (n, count, *ooo)
+        for bits, n, count, ooo in zip(
+            stats.prefix_bits.tolist(),
+            stats.prefix_n.tolist(),
+            stats.prefix_flows.tolist(),
+            stats.prefix_ooo.tolist(),
+        )
+    }
+    return flows, prefixes

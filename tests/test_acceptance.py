@@ -24,7 +24,7 @@ from reordermon.oracle import compute_stats, mean_pearson_correlation
 from reordermon.sampling import FlowSamplingArray, SamplerParams
 from reordermon.traceio import PacketArrays, SynthConfig, generate_synthetic_arrays
 
-from conftest import random_trace
+from conftest import random_trace, stats_tables
 from test_oracle import quadratic_recount
 from test_sampling import find_injective_seed
 
@@ -87,17 +87,12 @@ def test_c01_oracle_exactness_on_randomized_traces() -> None:
         records = random_trace(
             1000 + seed, n_packets=2000, n_flows=25, n_prefixes=6, burstiness=0.5
         )
-        stats = compute_stats(PacketArrays.from_records(records))
+        arrays = PacketArrays.from_records(records)
+        flows, _ = stats_tables(compute_stats(arrays), arrays)
         expected = quadratic_recount(records)
-        assert set(stats.flows) == set(expected)
+        assert set(flows) == set(expected)
         for flow, (n, o1, o2, o3) in expected.items():
-            fs = stats.flows[flow]
-            assert (fs.n, fs.ooo[DEF1], fs.ooo[DEF2], fs.ooo[ReorderDef.DEF3_BELOW_MAX]) == (
-                n,
-                o1,
-                o2,
-                o3,
-            )
+            assert flows[flow] == (n, o1, o2, o3)
     elapsed = time.perf_counter() - start
     assert elapsed < 60.0
     report("C1", f"50 traces, exact match under all definitions, {elapsed:.1f}s")
@@ -119,9 +114,9 @@ def test_c02_no_collision_equivalence(def_: ReorderDef) -> None:
         max_flows_per_prefix=1,
     )
     arrays, _ = generate_synthetic_arrays(cfg)
-    stats = compute_stats(arrays)
-    assert all(ps.flow_count == 1 for ps in stats.prefixes.values())
-    prefix_bits = sorted(ps.prefix.bits for ps in stats.prefixes.values())
+    _, prefixes = stats_tables(compute_stats(arrays), arrays)
+    assert all(flows == 1 for _, flows, *_ in prefixes.values())
+    prefix_bits = sorted(prefix.bits for prefix in prefixes)
     n_buckets = 8192  # injective placement needs headroom over the 64 prefixes
     seed = find_injective_seed(prefix_bits, n_buckets)
     params = SamplerParams(
@@ -141,11 +136,11 @@ def test_c02_no_collision_equivalence(def_: ReorderDef) -> None:
         agg = totals.setdefault(rep.prefix, [0, 0])
         agg[0] += rep.n
         agg[1] += rep.o
-    assert set(totals) == set(stats.prefixes)
+    assert set(totals) == set(prefixes)
     for prefix, (sum_n, sum_o) in totals.items():
-        ps = stats.prefixes[prefix]
-        assert sum_n == ps.n - 1, prefix
-        assert sum_o == ps.ooo[def_], prefix
+        n, _, *ooo = prefixes[prefix]
+        assert sum_n == n - 1, prefix
+        assert sum_o == ooo[def_.value - 1], prefix
     report("C2", f"{len(totals)} prefixes, exact (n, o) equality under {def_.name}")
 
 

@@ -59,8 +59,9 @@ def test_analyze_runs_the_traced_oracle(
     monkeypatch: pytest.MonkeyPatch, tmp_path: Path
 ) -> None:
     """The traced run reports ``oracle.compute_stats_s``,
-    ``oracle.interarrival_s`` and ``oracle.pcc_s`` by wrapping these names
-    inside ``reordermon.harness``; ``analyze`` must call each through them."""
+    ``oracle.interarrival_s``, ``oracle.pcc_s``, ``oracle.ground_truth_s``
+    and ``oracle.breakdown_s`` by wrapping these names inside
+    ``reordermon.harness``; ``analyze`` must call each through them."""
     from reordermon import cli, harness
 
     trace = tmp_path / "trace.csv"
@@ -69,7 +70,14 @@ def test_analyze_runs_the_traced_oracle(
          "--bad-fraction", "0.5", "--seed", "3"]
     ) == 0
     calls = []
-    for name in ("compute_stats", "interarrival_histogram", "mean_pearson_correlation"):
+    names = (
+        "compute_stats",
+        "interarrival_histogram",
+        "mean_pearson_correlation",
+        "ground_truth",
+        "flow_size_reorder_breakdown",
+    )
+    for name in names:
         real = getattr(harness, name)
 
         def recording(*args, _name=name, _real=real, **kwargs):
@@ -81,7 +89,6 @@ def test_analyze_runs_the_traced_oracle(
     assert cli.main(
         ["analyze", "--trace", str(trace), "--out", str(out), "--pcc-reps", "3"]
     ) == 0
-    assert sorted(set(calls)) == [
-        "compute_stats", "interarrival_histogram", "mean_pearson_correlation"
-    ]
+    assert sorted(set(calls)) == sorted(names)
     assert calls.count("mean_pearson_correlation") == 2  # DEF1 and DEF2
+    assert calls.count("ground_truth") == 2

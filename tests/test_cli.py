@@ -233,16 +233,42 @@ def test_bad_flag_value_is_usage_error(trace_path: Path, tmp_path: Path) -> None
     assert code == 1
     # parameter values are checked before the trace is read: a missing
     # trace would otherwise exit 2
-    for flags in (
-        ("--buckets", "0"),
-        ("--C", "0"),
-        ("--alpha", "200", "--beta", "100"),
+    for command, flags in (
+        ("run", ("--buckets", "0")),
+        ("run", ("--C", "0")),
+        ("run", ("--alpha", "200", "--beta", "100")),
         # one bucket, all of it for a two-stage HH table: neither structure
-        ("--algo", "hybrid", "--buckets", "1", "--hh-fraction", "1"),
+        ("run", ("--algo", "hybrid", "--buckets", "1", "--hh-fraction", "1")),
+        # empty lists: nothing to run
+        ("run", ("--buckets", ",")),
+        ("run", ("--seeds", ",")),
+        ("run", ("--algo", "hybrid", "--hh-fraction", ",")),
+        ("grid-hybrid", ("--buckets", ",")),
+        ("grid-hybrid", ("--seeds", ",")),
+        ("grid-hybrid", ("--hh-fraction", ",")),
     ):
         for trace in (trace_path, tmp_path / "missing.csv"):
-            code = run_cli("run", "--trace", str(trace), "--out", str(tmp_path / "o"), *flags)
-            assert code == 1, flags
+            code = run_cli(command, "--trace", str(trace), "--out", str(tmp_path / "o"), *flags)
+            assert code == 1, (command, flags)
+    assert not (tmp_path / "o").exists()
+
+
+def test_grid_hybrid_takes_no_algo(trace_path: Path, tmp_path: Path) -> None:
+    for algo in ("bogus", "hybrid"):
+        with pytest.raises(SystemExit) as excinfo:
+            run_cli(
+                "grid-hybrid", "--trace", str(trace_path), "--out", str(tmp_path / "o"),
+                "--algo", algo,
+            )
+        assert excinfo.value.code == 1
+    config = tmp_path / "grid.conf"
+    config.write_text("algo = hybrid\n")
+    code = run_cli(
+        "grid-hybrid", "--trace", str(trace_path), "--out", str(tmp_path / "o"),
+        "--config", str(config),
+    )
+    assert code == 1
+    assert not (tmp_path / "o").exists()
 
 
 def test_data_error_exit_code(tmp_path: Path) -> None:

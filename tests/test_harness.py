@@ -26,6 +26,8 @@ from reordermon.oracle import compute_stats
 from reordermon.sampling import FlowSamplingArray
 from reordermon.traceio import PacketArrays, SynthConfig, generate_synthetic_arrays
 
+from conftest import stats_tables
+
 
 @pytest.fixture(scope="module")
 def small_workload() -> PacketArrays:
@@ -75,8 +77,9 @@ def test_truth_sets_alpha_vs_beta(small_workload: PacketArrays) -> None:
     beta_set, alpha_set = truth_sets(stats, spec)
     # every beta-level prefix also clears the (strictly smaller) alpha bar
     assert beta_set <= alpha_set
+    _, prefixes = stats_tables(stats, small_workload)
     for prefix in beta_set:
-        assert stats.prefixes[prefix].n >= 128
+        assert prefixes[prefix][0] >= 128
 
 
 def test_report_all_fraction_mode_cuts_false_positives(small_workload: PacketArrays) -> None:

@@ -1,22 +1,25 @@
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from reordermon.harness import ExperimentSpec, truth_sets
 from reordermon.model import PREFIX_MASK, FlowId, PacketRecord, Prefix, ReorderDef
 from reordermon.oracle import (
-    FlowStats,
+    DEFAULT_SIZE_BINS,
     GapDistribution,
+    GroundTruth,
     InterarrivalHistogram,
     PccSummary,
-    PrefixStats,
+    PrefixBreakdown,
     TraceStats,
     UndefinedCorrelationError,
+    _pcc_pool,
     compute_stats,
-    eligible_flows,
     flow_size_reorder_breakdown,
     ground_truth,
     interarrival_histogram,
@@ -25,16 +28,21 @@ from reordermon.oracle import (
 )
 from reordermon.traceio import PacketArrays, SynthConfig, generate_synthetic_arrays
 
-from conftest import make_flow, random_trace
+from conftest import make_flow, random_trace, stats_tables
 
 DEF1 = ReorderDef.DEF1_DECREASE
 DEF2 = ReorderDef.DEF2_GAP
 DEF3 = ReorderDef.DEF3_BELOW_MAX
 
+# the reference tables: {flow: (n, o1, o2, o3)} and {prefix: (n, flows, o1, o2, o3)}
+FlowTable = dict[FlowId, tuple[int, ...]]
+PrefixTable = dict[Prefix, tuple[int, ...]]
 
-def reference_compute_stats(arrays: PacketArrays) -> TraceStats:
+
+def reference_compute_stats(arrays: PacketArrays) -> tuple[FlowTable, PrefixTable]:
     """Per-packet walk with one state record per flow: the reference for
-    the sort-based ``compute_stats``."""
+    the sort-based ``compute_stats``.  Both tables are in the order of first
+    appearance."""
     # state per flow id: [n, o1, o2, o3, last_seq, expected_next, max_seq]
     state: dict[int, list[int]] = {}
     for fid, seq, length in zip(
@@ -56,23 +64,81 @@ def reference_compute_stats(arrays: PacketArrays) -> TraceStats:
         st_[4] = seq
         st_[5] = seq + length
 
-    flows: dict[FlowId, FlowStats] = {}
-    for fid, st_ in state.items():
-        flow = arrays.flow(fid)
-        flows[flow] = FlowStats(flow, st_[0], {DEF1: st_[1], DEF2: st_[2], DEF3: st_[3]})
+    flows = {arrays.flow(fid): tuple(st_[:4]) for fid, st_ in state.items()}
+    prefixes: dict[Prefix, list[int]] = {}
+    for flow, (n, o1, o2, o3) in flows.items():
+        entry = prefixes.setdefault(Prefix(flow.src_ip & PREFIX_MASK), [0, 0, 0, 0, 0])
+        for i, value in enumerate((n, 1, o1, o2, o3)):
+            entry[i] += value
+    return flows, {prefix: tuple(entry) for prefix, entry in prefixes.items()}
 
-    prefixes: dict[Prefix, PrefixStats] = {}
-    for flow, fs in flows.items():
+
+def _ooo(entry: tuple[int, ...], def_: ReorderDef) -> int:
+    """The out-of-order count of a reference table entry (flow or prefix)."""
+    return entry[def_.value - 4]
+
+
+def reference_ground_truth(
+    prefixes: PrefixTable, eps: float, alpha: int, beta: int, def_: ReorderDef
+) -> GroundTruth:
+    heavy = frozenset(
+        prefix
+        for prefix, entry in prefixes.items()
+        if entry[0] >= beta and _ooo(entry, def_) > eps * entry[0]
+    )
+    small = frozenset(prefix for prefix, entry in prefixes.items() if entry[0] <= alpha)
+    return GroundTruth(heavy, small)
+
+
+def reference_alpha_set(
+    prefixes: PrefixTable, eps: float, alpha: int, def_: ReorderDef
+) -> frozenset[Prefix]:
+    """The false-positive reference set: more than ``alpha`` packets."""
+    return frozenset(
+        prefix
+        for prefix, entry in prefixes.items()
+        if entry[0] > alpha and _ooo(entry, def_) > eps * entry[0]
+    )
+
+
+def reference_pcc_pool(
+    flows: FlowTable, prefixes: PrefixTable, def_: ReorderDef
+) -> tuple[np.ndarray, np.ndarray]:
+    pool = [
+        (flow, entry)
+        for flow, entry in flows.items()
+        if prefixes[Prefix(flow.src_ip & PREFIX_MASK)][1] >= 2
+    ]
+    xs = np.empty(len(pool))
+    ys = np.empty(len(pool))
+    for i, (flow, entry) in enumerate(pool):
+        group = prefixes[Prefix(flow.src_ip & PREFIX_MASK)]
+        xs[i] = _ooo(entry, def_) / entry[0]
+        ys[i] = (_ooo(group, def_) - _ooo(entry, def_)) / (group[0] - entry[0])
+    return xs, ys
+
+
+def reference_breakdown(
+    flows: FlowTable, prefixes: PrefixTable, def_: ReorderDef, size_bins=DEFAULT_SIZE_BINS
+) -> dict[Prefix, PrefixBreakdown]:
+    edges = list(size_bins)
+    per_prefix_counts: dict[Prefix, dict[int, int]] = {}
+    per_prefix_ooo: dict[Prefix, dict[int, int]] = {}
+    for flow, entry in flows.items():
         prefix = Prefix(flow.src_ip & PREFIX_MASK)
-        ps = prefixes.get(prefix)
-        if ps is None:
-            prefixes[prefix] = PrefixStats(prefix, fs.n, dict(fs.ooo), 1)
-        else:
-            ps.n += fs.n
-            ps.flow_count += 1
-            for d in (DEF1, DEF2, DEF3):
-                ps.ooo[d] += fs.ooo[d]
-    return TraceStats(flows, prefixes, len(arrays))
+        bin_ = bisect_left(edges, entry[0])
+        counts = per_prefix_counts.setdefault(prefix, {})
+        counts[bin_] = counts.get(bin_, 0) + 1
+        ooo = per_prefix_ooo.setdefault(prefix, {})
+        ooo[bin_] = ooo.get(bin_, 0) + _ooo(entry, def_)
+    out: dict[Prefix, PrefixBreakdown] = {}
+    for prefix, counts in per_prefix_counts.items():
+        o_g = _ooo(prefixes[prefix], def_)
+        fractions = None
+        if o_g > 0:
+            fractions = {b: c / o_g for b, c in per_prefix_ooo[prefix].items()}
+        out[prefix] = PrefixBreakdown(prefix, counts, fractions)
+    return out
 
 
 def reference_interarrival_histogram(arrays: PacketArrays) -> InterarrivalHistogram:
@@ -103,13 +169,59 @@ def reference_interarrival_histogram(arrays: PacketArrays) -> InterarrivalHistog
     return hist
 
 
+def _bits(fractions: dict[int, float] | None):
+    return None if fractions is None else {b: f.hex() for b, f in fractions.items()}
+
+
 def assert_oracle_matches_reference(arrays: PacketArrays) -> None:
     stats = compute_stats(arrays)
-    ref = reference_compute_stats(arrays)
-    # list comparison: the key order of both dicts must match as well
-    assert list(stats.flows.items()) == list(ref.flows.items())
-    assert list(stats.prefixes.items()) == list(ref.prefixes.items())
-    assert stats.packet_count == ref.packet_count
+    flows, prefixes = stats_tables(stats, arrays)
+    ref_flows, ref_prefixes = reference_compute_stats(arrays)
+    # list comparison: the row order must match as well
+    assert list(flows.items()) == list(ref_flows.items())
+    assert list(prefixes.items()) == sorted(ref_prefixes.items(), key=lambda kv: kv[0].bits)
+    assert stats.packet_count == len(arrays)
+    assert stats.flow_prefix.tolist() == [
+        list(prefixes).index(Prefix(flow.src_ip & PREFIX_MASK)) for flow in flows
+    ]
+
+    # alpha and beta at, just below and just above every prefix size, and
+    # eps at every observed fraction (the strict ">" boundary)
+    sizes = {entry[0] for entry in prefixes.values()}
+    thresholds = {(n + da, n + da + db) for n in sizes for da in (-1, 0) for db in (1, 2)}
+    for def_ in (DEF1, DEF2, DEF3):
+        cases = [(eps, alpha, beta) for eps in (0.01, 0.5) for alpha, beta in thresholds]
+        cases += [
+            (_ooo(entry, def_) / entry[0], 0, 1)
+            for entry in prefixes.values()
+            if 0 < _ooo(entry, def_) < entry[0]
+        ]
+        for eps, alpha, beta in cases:
+            assert ground_truth(stats, eps, alpha, beta, def_) == reference_ground_truth(
+                ref_prefixes, eps, alpha, beta, def_
+            ), (eps, alpha, beta, def_)
+            if def_ is not DEF3 and alpha >= 1:
+                spec = ExperimentSpec(reorder_def=def_, alpha=alpha, beta=beta, eps=eps)
+                assert truth_sets(stats, spec)[1] == reference_alpha_set(
+                    ref_prefixes, eps, alpha, def_
+                ), (eps, alpha, def_)
+
+        xs, ys = _pcc_pool(stats, def_)
+        ref_xs, ref_ys = reference_pcc_pool(ref_flows, ref_prefixes, def_)
+        assert xs.tobytes() == ref_xs.tobytes()
+        assert ys.tobytes() == ref_ys.tobytes()
+
+        for size_bins in (DEFAULT_SIZE_BINS, (1, 2, 4, 8), (3,), ()):
+            got = flow_size_reorder_breakdown(stats, def_, size_bins)
+            want = reference_breakdown(ref_flows, ref_prefixes, def_, size_bins)
+            assert list(got) == sorted(want, key=lambda p: p.bits)
+            for prefix, entry in got.items():
+                assert list(entry.flow_count_by_bin) == sorted(entry.flow_count_by_bin)
+                assert entry.flow_count_by_bin == want[prefix].flow_count_by_bin
+                assert _bits(entry.ooo_fraction_by_bin) == _bits(
+                    want[prefix].ooo_fraction_by_bin
+                )
+
     hist = interarrival_histogram(arrays)
     ref_hist = reference_interarrival_histogram(arrays)
     for name in ("in_order", "def1_ooo", "def2_ooo"):
@@ -222,20 +334,18 @@ def merge(*streams: list[PacketRecord]) -> list[PacketRecord]:
 
 
 def test_in_order_flow_has_zero_counts() -> None:
-    records = flow_packets(make_flow(0), [1000, 1100, 1200])
-    stats = compute_stats(PacketArrays.from_records(records))
-    fs = next(iter(stats.flows.values()))
-    assert fs.n == 3
-    assert fs.ooo == {DEF1: 0, DEF2: 0, DEF3: 0}
+    arrays = PacketArrays.from_records(flow_packets(make_flow(0), [1000, 1100, 1200]))
+    n, o1, o2, o3 = next(iter(stats_tables(compute_stats(arrays), arrays)[0].values()))
+    assert n == 3
+    assert (o1, o2, o3) == (0, 0, 0)
 
 
 def test_single_swap_counts_once_under_each_definition() -> None:
-    records = flow_packets(make_flow(0), [1000, 1200, 1100])
-    stats = compute_stats(PacketArrays.from_records(records))
-    fs = next(iter(stats.flows.values()))
-    assert fs.ooo[DEF1] == 1  # 1100 < 1200
-    assert fs.ooo[DEF2] == 1  # 1200 > 1100 expected
-    assert fs.ooo[DEF3] == 1  # 1100 below the running max 1200
+    arrays = PacketArrays.from_records(flow_packets(make_flow(0), [1000, 1200, 1100]))
+    _, o1, o2, o3 = next(iter(stats_tables(compute_stats(arrays), arrays)[0].values()))
+    assert o1 == 1  # 1100 < 1200
+    assert o2 == 1  # 1200 > 1100 expected
+    assert o3 == 1  # 1100 below the running max 1200
 
 
 def test_matches_quadratic_recount_on_random_traces() -> None:
@@ -245,35 +355,45 @@ def test_matches_quadratic_recount_on_random_traces() -> None:
     )
     traces.append(list(synthetic.iter_records()))
     for records in traces:
-        stats = compute_stats(PacketArrays.from_records(records))
+        arrays = PacketArrays.from_records(records)
+        flows, _ = stats_tables(compute_stats(arrays), arrays)
         expected = quadratic_recount(records)
-        assert set(stats.flows) == set(expected)
+        assert set(flows) == set(expected)
         for flow, (n, o1, o2, o3) in expected.items():
-            fs = stats.flows[flow]
-            assert (fs.n, fs.ooo[DEF1], fs.ooo[DEF2], fs.ooo[DEF3]) == (n, o1, o2, o3)
+            assert flows[flow] == (n, o1, o2, o3)
 
 
 def test_prefix_sums_and_def1_le_def3() -> None:
     records = random_trace(42, n_packets=800, n_flows=10, n_prefixes=4)
-    stats = compute_stats(PacketArrays.from_records(records))
-    assert sum(ps.n for ps in stats.prefixes.values()) == stats.packet_count == len(records)
+    arrays = PacketArrays.from_records(records)
+    stats = compute_stats(arrays)
+    flows, prefixes = stats_tables(stats, arrays)
+    assert sum(entry[0] for entry in prefixes.values()) == stats.packet_count == len(records)
     for def_ in (DEF1, DEF2, DEF3):
-        assert sum(ps.ooo[def_] for ps in stats.prefixes.values()) == sum(
-            fs.ooo[def_] for fs in stats.flows.values()
+        assert sum(_ooo(entry, def_) for entry in prefixes.values()) == sum(
+            _ooo(entry, def_) for entry in flows.values()
         )
-    for fs in stats.flows.values():
-        assert fs.ooo[DEF1] <= fs.ooo[DEF3]
+    for entry in flows.values():
+        assert _ooo(entry, DEF1) <= _ooo(entry, DEF3)
         for def_ in (DEF1, DEF2, DEF3):
-            assert 0 <= fs.ooo[def_] < fs.n
+            assert 0 <= _ooo(entry, def_) < entry[0]
 
 
 def _stats_with_prefixes(entries: list[tuple[int, int, int]]) -> TraceStats:
     """TraceStats with synthetic per-prefix counters (n, o, flow_count)."""
-    prefixes = {}
-    for i, (n, o, flows) in enumerate(entries):
-        prefix = Prefix(0x0A000000 + (i << 8))
-        prefixes[prefix] = PrefixStats(prefix, n, {DEF1: o, DEF2: o, DEF3: o}, flows)
-    return TraceStats({}, prefixes, sum(e[0] for e in entries))
+    none = np.zeros(0, dtype=np.int64)
+    n, o, flows = (np.asarray(column, dtype=np.int64) for column in zip(*entries))
+    return TraceStats(
+        flow_id=none,
+        flow_n=none,
+        flow_ooo=np.zeros((0, 3), dtype=np.int64),
+        flow_prefix=none,
+        prefix_bits=0x0A000000 + (np.arange(len(entries), dtype=np.int64) << 8),
+        prefix_n=n,
+        prefix_ooo=np.stack([o, o, o], axis=1),
+        prefix_flows=flows,
+        packet_count=int(n.sum()),
+    )
 
 
 def test_ground_truth_threshold_arithmetic() -> None:
@@ -326,7 +446,7 @@ def test_pcc_zero_variance_is_an_error() -> None:
 def test_pcc_requires_multi_flow_prefixes() -> None:
     records = flow_packets(make_flow(0), [1000, 1100])
     stats = compute_stats(PacketArrays.from_records(records))
-    assert eligible_flows(stats) == []
+    assert len(_pcc_pool(stats, DEF1)[0]) == 0
     with pytest.raises(UndefinedCorrelationError):
         pearson_correlation(stats, 5, DEF1, np.random.default_rng(0))
 
@@ -345,7 +465,7 @@ def repeated_pearson(
     stats: TraceStats, def_: ReorderDef, repetitions: int, sample_fraction: float, seed: int
 ) -> PccSummary:
     """The mean over a loop of ``pearson_correlation`` with one shared rng."""
-    n_samples = max(2, round(sample_fraction * len(eligible_flows(stats))))
+    n_samples = max(2, round(sample_fraction * len(_pcc_pool(stats, def_)[0])))
     rng = np.random.default_rng(seed)
     values = []
     undefined = 0
@@ -439,10 +559,11 @@ def test_breakdown_zero_ooo_prefix_flagged() -> None:
 
 
 def test_breakdown_fractions_sum_to_one() -> None:
-    records = random_trace(13, n_packets=600, n_flows=12, n_prefixes=3)
-    stats = compute_stats(PacketArrays.from_records(records))
+    arrays = PacketArrays.from_records(random_trace(13, n_packets=600, n_flows=12, n_prefixes=3))
+    stats = compute_stats(arrays)
+    _, prefixes = stats_tables(stats, arrays)
     for entry in flow_size_reorder_breakdown(stats, DEF1).values():
         if entry.ooo_fraction_by_bin is not None:
             assert math.isclose(sum(entry.ooo_fraction_by_bin.values()), 1.0)
         counts = sum(entry.flow_count_by_bin.values())
-        assert counts == stats.prefixes[entry.prefix].flow_count
+        assert counts == prefixes[entry.prefix][1]

@@ -1,27 +1,7 @@
 from __future__ import annotations
 
-import io
-
-import pytest
-
 from reordermon.model import Prefix
-from reordermon.reports import Report, ReportSource, read_reports, write_reports
-
-
-def test_report_csv_round_trip() -> None:
-    reports = [
-        Report(Prefix(0x0A000100), 18, 3, ReportSource.ARRAY_EVICTION),
-        Report(Prefix(0x0A000200), 5, 0, ReportSource.ARRAY_FLUSH),
-        Report(Prefix(0xC0A80000), 200, 7, ReportSource.HH_FLUSH),
-    ]
-    buf = io.StringIO()
-    write_reports(reports, buf)
-    assert read_reports(buf.getvalue().splitlines()) == reports
-
-
-def test_report_csv_header_required() -> None:
-    with pytest.raises(ValueError):
-        read_reports(["10.0.1.0/24,1,0,array_flush"])
+from reordermon.reports import Report, ReportSource
 
 
 def test_report_invariants_on_construction() -> None:

@@ -8,7 +8,7 @@ from reordermon.reports import Report, ReportSource
 from reordermon.sampling import FlowSamplingArray, SamplerParams
 from reordermon.traceio import PacketArrays, SynthConfig, generate_synthetic_arrays
 
-from conftest import random_trace
+from conftest import random_trace, stats_tables
 
 DEF1 = ReorderDef.DEF1_DECREASE
 DEF2 = ReorderDef.DEF2_GAP
@@ -260,12 +260,13 @@ def test_no_collision_equivalence_small() -> None:
         agg = totals.setdefault(rep.prefix, [0, 0])
         agg[0] += rep.n
         agg[1] += rep.o
-    stats = compute_stats(PacketArrays.from_records(records))
-    assert set(totals) == set(stats.prefixes)
+    arrays = PacketArrays.from_records(records)
+    _, prefixes = stats_tables(compute_stats(arrays), arrays)
+    assert set(totals) == set(prefixes)
     for prefix, (sum_n, sum_o) in totals.items():
-        ps = stats.prefixes[prefix]
-        assert sum_n == ps.n - ps.flow_count
-        assert sum_o == ps.ooo[DEF1]
+        n, flows, o1, _, _ = prefixes[prefix]
+        assert sum_n == n - flows
+        assert sum_o == o1
 
 
 @pytest.mark.parametrize("def_", [DEF1, DEF2])
