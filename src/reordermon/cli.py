@@ -63,12 +63,24 @@ def _parse_bool(text: str) -> bool:
     raise ValueError(f"not a boolean: {text!r}")
 
 
+def _parse_list(text: str, parse: Callable[[str], object]) -> tuple:
+    values: list = []
+    for part in text.split(","):
+        if not part.strip():
+            raise ValueError(f"empty item in {text!r}")
+        value = parse(part)
+        if value in values:
+            raise ValueError(f"{part.strip()} is listed twice in {text!r}")
+        values.append(value)
+    return tuple(values)
+
+
 def _parse_int_list(text: str) -> tuple[int, ...]:
-    return tuple(int(part) for part in text.split(",") if part.strip())
+    return _parse_list(text, int)
 
 
 def _parse_float_list(text: str) -> tuple[float, ...]:
-    return tuple(float(part) for part in text.split(",") if part.strip())
+    return _parse_list(text, float)
 
 
 def _parse_mode(text: str) -> AggregatorMode:
@@ -111,8 +123,12 @@ def _load_config(path: str) -> dict[str, str]:
     return values
 
 
-def _resolve(args: argparse.Namespace, opts: Sequence[Opt]) -> dict[str, object]:
-    """Merge precedence: explicit flag > config file > built-in default."""
+def _resolve(
+    args: argparse.Namespace, opts: Sequence[Opt]
+) -> tuple[dict[str, object], frozenset[str]]:
+    """The value of each option, and the names of those given as a flag or
+    in the config file.  Merge precedence: explicit flag > config file >
+    built-in default."""
     config: dict[str, str] = {}
     if getattr(args, "config", None):
         config = _load_config(args.config)
@@ -121,6 +137,7 @@ def _resolve(args: argparse.Namespace, opts: Sequence[Opt]) -> dict[str, object]
         if unknown:
             raise UsageError(f"unknown config keys: {', '.join(unknown)}")
     resolved: dict[str, object] = {}
+    given = set()
     for opt in opts:
         dest = opt.name.replace("-", "_")
         raw = getattr(args, dest)
@@ -129,11 +146,12 @@ def _resolve(args: argparse.Namespace, opts: Sequence[Opt]) -> dict[str, object]
         if raw is None:
             resolved[dest] = opt.default
         else:
+            given.add(opt.name)
             try:
                 resolved[dest] = opt.parse(raw)
             except ValueError as exc:
                 raise UsageError(f"--{opt.name}: {exc}")
-    return resolved
+    return resolved, frozenset(given)
 
 
 # --- option tables ------------------------------------------------------------
@@ -183,6 +201,17 @@ ANALYZE_OPTS = (
     Opt("pcc-seed", int, 0, "correlation sampling seed"),
 )
 
+# The detector options each algorithm reads, as harness.detector_params
+# builds it: the array from the sampler options, the HH table from the HH
+# options, and the hybrid from both and its own two.
+_SAMPLER_OPTS = frozenset({"T", "C", "R", "report-all"})
+_HH_OPTS = frozenset({"d", "r-hh", "min-report-packets"})
+ALGO_OPTS = {
+    "array": _SAMPLER_OPTS,
+    "hh": _HH_OPTS,
+    "hybrid": _SAMPLER_OPTS | _HH_OPTS | {"hh-fraction", "filter-by-prefix"},
+}
+
 LEMMA_OPTS = (
     Opt("trials", int, 10_000, "Monte Carlo trials"),
     Opt("seed", int, 0, "simulation seed"),
@@ -222,7 +251,7 @@ def _spec_from(resolved: dict[str, object], algorithm: Optional[str] = None) -> 
 
 
 def _cmd_generate(args: argparse.Namespace) -> int:
-    resolved = _resolve(args, GENERATE_OPTS)
+    resolved, _ = _resolve(args, GENERATE_OPTS)
     cfg = SynthConfig(
         n_prefixes=resolved["prefixes"],
         flows_per_prefix_zipf_exponent=resolved["flows_zipf"],
@@ -257,7 +286,7 @@ def _cmd_generate(args: argparse.Namespace) -> int:
 
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
-    resolved = _resolve(args, ANALYZE_OPTS)
+    resolved, _ = _resolve(args, ANALYZE_OPTS)
     try:
         params = AnalysisParams(
             eps=resolved["eps"],
@@ -276,8 +305,15 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    resolved = _resolve(args, DETECTOR_OPTS)
+    resolved, given = _resolve(args, DETECTOR_OPTS)
     spec = _spec_from(resolved)
+    # the hybrid reads every algorithm-specific option
+    unread = (given & ALGO_OPTS["hybrid"]) - ALGO_OPTS[spec.algorithm]
+    if unread:
+        raise UsageError(
+            f"--algo {spec.algorithm} does not read "
+            + ", ".join(f"--{name}" for name in sorted(unread))
+        )
     arrays = load_trace_arrays(args.trace)
     rows = result_rows(run_experiment(arrays, spec))
     out_dir = Path(args.out)
@@ -298,7 +334,7 @@ GRID_DETECTOR_OPTS = tuple(
 
 
 def _cmd_grid_hybrid(args: argparse.Namespace) -> int:
-    resolved = _resolve(args, GRID_DETECTOR_OPTS)
+    resolved, _ = _resolve(args, GRID_DETECTOR_OPTS)
     spec = _spec_from(resolved, algorithm="hybrid")
     arrays = load_trace_arrays(args.trace)
     results, best = grid_search_hybrid(arrays, spec)
@@ -311,7 +347,7 @@ def _cmd_grid_hybrid(args: argparse.Namespace) -> int:
 
 
 def _cmd_validate_lemma(args: argparse.Namespace) -> int:
-    resolved = _resolve(args, LEMMA_OPTS)
+    resolved, _ = _resolve(args, LEMMA_OPTS)
     if resolved["trials"] < 1:
         raise UsageError("--trials must be >= 1")
     models: dict[str, CheckModel] = {}

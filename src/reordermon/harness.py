@@ -346,14 +346,14 @@ def analyze_trace(
     stats = compute_stats(arrays)
     d1, d2 = ReorderDef.DEF1_DECREASE, ReorderDef.DEF2_GAP
 
-    meta = arrays.meta()
     write_json(
         out / "meta.json",
         {
-            "packet_count": meta.packet_count,
-            "flow_count": meta.flow_count,
-            "prefix_count": meta.prefix_count,
-            "duration_seconds": meta.duration_seconds,
+            "packet_count": len(arrays),
+            # the stats have a row for each flow and prefix with packets
+            "flow_count": len(stats.flow_id),
+            "prefix_count": len(stats.prefix_bits),
+            "duration_seconds": arrays.duration_seconds,
             "eps": params.eps,
             "alpha": params.alpha,
             "beta": params.beta,

@@ -16,12 +16,14 @@ gives the per-packet view the reference detectors consume.
 
 from __future__ import annotations
 
+import io
 import math
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import IO, Iterable, Iterator, Union
+from typing import IO, Iterable, Iterator, Optional, Union
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .model import FlowId, PacketRecord, PREFIX_MASK, int_to_ip, ip_to_int
 
@@ -77,14 +79,18 @@ class PacketArrays:
             int(self.flow_dst_port[fid]),
         )
 
+    @property
+    def duration_seconds(self) -> float:
+        return float(self.ts[-1] - self.ts[0]) if len(self) >= 2 else 0.0
+
     def meta(self) -> TraceMeta:
-        duration = float(self.ts[-1] - self.ts[0]) if len(self) >= 2 else 0.0
-        prefixes = np.unique(self.flow_prefix_bits[np.unique(self.flow_id)])
+        """Counts over the flows that have packets."""
+        flows = np.unique(self.flow_id)
         return TraceMeta(
             packet_count=len(self),
-            flow_count=int(np.unique(self.flow_id).size),
-            prefix_count=int(prefixes.size),
-            duration_seconds=duration,
+            flow_count=int(flows.size),
+            prefix_count=int(np.unique(self.flow_prefix_bits[flows]).size),
+            duration_seconds=self.duration_seconds,
         )
 
     @classmethod
@@ -139,13 +145,9 @@ Source = Union[str, Path, IO[str]]
 
 _SEQ_LIMIT = 1 << 32  # seq and payload_len are 32-bit TCP quantities
 
-
-def _open_text(source: Source) -> tuple[IO[str], bool]:
-    if isinstance(source, (str, Path)):
-        # a non-ASCII byte becomes a lone surrogate and fails row validation
-        # with its line number, not as a bare UnicodeDecodeError
-        return open(source, "r", encoding="ascii", errors="surrogateescape"), True
-    return source, False
+# The fast path parses the buffer in blocks of about this many bytes, each
+# cut after a newline, so that its per-byte temporaries stay small.
+_BLOCK_BYTES = 1 << 20
 
 
 def parse_trace(source: Source) -> tuple[PacketArrays, TraceMeta]:
@@ -156,17 +158,54 @@ def parse_trace(source: Source) -> tuple[PacketArrays, TraceMeta]:
     non-ASCII character, which ``int``/``float`` would quietly accept, or an
     IP octet with a leading zero), negative, non-finite or decreasing
     timestamps, and seq or payload_len outside [0, 2^32).
+
+    The source is read once.  Canonical input (what ``write_trace_csv``
+    writes) is parsed with whole-buffer numpy operations; anything else goes
+    to the line-by-line reader, which either accepts it or raises the error
+    for its first bad line.  The fast path is stricter than the line reader
+    (it sends ``1E-05``, CRLF line ends or a blank line to it) but never
+    accepts a row that the line reader rejects.
     """
-    handle, owned = _open_text(source)
-    try:
-        header = handle.readline().rstrip("\n")
-        if header != TRACE_HEADER:
-            raise TraceFormatError(f"line 1: expected header {TRACE_HEADER!r}")
-        arrays = PacketArrays.from_records(_read_rows(handle))
-    finally:
-        if owned:
-            handle.close()
-    return arrays, arrays.meta()
+    if isinstance(source, (str, Path)):
+        text = None
+        data: Optional[bytes] = Path(source).read_bytes()
+    else:
+        text = source.read()
+        try:
+            data = text.encode("ascii", "surrogateescape")
+        except UnicodeEncodeError:
+            data = None
+    columns = _canonical_columns(data) if data is not None else None
+    if columns is None:
+        if text is None:
+            # a non-ASCII byte becomes a lone surrogate and fails row
+            # validation with its line number; line ends are read as open()
+            # reads text, with universal newlines
+            text = data.decode("ascii", "surrogateescape")
+            handle = io.StringIO(text, newline=None)
+        else:
+            handle = io.StringIO(text)
+        arrays = _parse_lines(handle)
+    else:
+        del data, text  # every check has passed: free the buffer before grouping
+        arrays = _flow_arrays(*columns)
+    # every flow of a parsed trace has a packet, so the flow tables give the
+    # counts without a pass over the packets
+    meta = TraceMeta(
+        packet_count=len(arrays),
+        flow_count=arrays.flow_count,
+        prefix_count=int(np.unique(arrays.flow_prefix_bits).size),
+        duration_seconds=arrays.duration_seconds,
+    )
+    return arrays, meta
+
+
+def _parse_lines(handle: IO[str]) -> PacketArrays:
+    """The reference reader: the header, then one validated row at a time."""
+    header = handle.readline().rstrip("\n")
+    if header != TRACE_HEADER:
+        raise TraceFormatError(f"line 1: expected header {TRACE_HEADER!r}")
+    return PacketArrays.from_records(_read_rows(handle))
 
 
 def _read_rows(handle: IO[str]) -> Iterator[PacketRecord]:
@@ -235,6 +274,199 @@ def _parse_flow(src_ip: str, dst_ip: str, src_port: str, dst_port: str) -> FlowI
     if not (0 <= flow.src_port <= 0xFFFF and 0 <= flow.dst_port <= 0xFFFF):
         raise ValueError("port out of range")
     return flow
+
+
+# --- fast path for canonical input ---------------------------------------------
+
+_PAD = 32  # bytes around a block, so that every field window stays inside it
+
+
+def _canonical_columns(data: bytes) -> Optional[tuple[np.ndarray, ...]]:
+    """The columns of canonical ``data`` (header and rows), else None.
+
+    Canonical rows hold only digits, ``,``, ``.``, ``-``, ``e`` and a final
+    ``\\n``, and seven non-empty fields: a timestamp that ``float`` reads as
+    finite, not negative and not below the one before, two addresses that
+    ``ip_to_int`` accepts, and ports, seq and payload_len without sign or
+    leading zero, below 2^16 and 2^32.  This only detects a departure from
+    that form; the line reader finds and names it.
+
+    Returns ts, seq, payload_len and the packed port pair of every row, its
+    source and destination address as an index into the two address tables,
+    and those two tables.
+    """
+    header = TRACE_HEADER.encode() + b"\n"
+    allowed = b"0123456789,.-e\n"
+    # only the header may hold other bytes
+    if not data.startswith(header) or (
+        data.translate(None, allowed) != header.translate(None, allowed)
+    ):
+        return None
+    raw = np.frombuffer(data, dtype=np.uint8)
+    pos = len(header)
+    n_rows = data.count(b"\n", pos) + (not data.endswith(b"\n"))
+    ts = np.empty(n_rows, dtype=np.float64)
+    seq, payload_len, ports, src_key, dst_key = (
+        np.empty(n_rows, dtype=np.int64) for _ in range(5)
+    )
+    row = 0
+    while pos < len(data):
+        cut = data.find(b"\n", pos + _BLOCK_BYTES - 1)
+        end = len(data) if cut < 0 else cut + 1
+        block = _parse_block(raw[pos:end], float(ts[row - 1]) if row else 0.0)
+        if block is None:
+            return None
+        stop = row + len(block[0])
+        for column, values in zip((ts, seq, payload_len, ports, src_key, dst_key), block):
+            column[row:stop] = values
+        row, pos = stop, end
+    # each distinct address is parsed once, kept row or not
+    addresses = []
+    for keys in (src_key, dst_key):
+        distinct = np.unique(keys)
+        try:
+            table = np.array([ip_to_int(ip) for ip in _ip_strings(distinct)], dtype=np.int64)
+        except ValueError:
+            return None
+        addresses.append((np.searchsorted(distinct, keys), table))
+    (src_row, src_table), (dst_row, dst_table) = addresses
+    return ts, seq, payload_len, ports, src_row, dst_row, src_table, dst_table
+
+
+def _flow_arrays(
+    ts: np.ndarray,
+    seq: np.ndarray,
+    payload_len: np.ndarray,
+    ports: np.ndarray,
+    src_row: np.ndarray,
+    dst_row: np.ndarray,
+    src_table: np.ndarray,
+    dst_table: np.ndarray,
+) -> PacketArrays:
+    """Drop the zero-payload rows and number the flows in the order of their
+    first kept row, as ``PacketArrays.from_records`` does."""
+    if not payload_len.all():
+        kept = np.flatnonzero(payload_len)
+        ts, seq, payload_len = ts[kept], seq[kept], payload_len[kept]
+        ports, src_row, dst_row = ports[kept], src_row[kept], dst_row[kept]
+    pair = src_row * len(dst_table) + dst_row
+    if len(src_table) * len(dst_table) > 1 << 31:  # keep pair << 32 inside int64
+        pair = np.unique(pair, return_inverse=True)[1]
+    _, first, row_flow = np.unique((pair << 32) | ports, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    flow_id = np.empty_like(order)
+    flow_id[order] = np.arange(order.size)
+    first = first[order]
+    return PacketArrays(
+        ts=ts,
+        seq=seq,
+        payload_len=payload_len,
+        flow_id=flow_id[row_flow],
+        flow_src_ip=src_table[src_row[first]],
+        flow_dst_ip=dst_table[dst_row[first]],
+        flow_src_port=ports[first] >> 16,
+        flow_dst_port=ports[first] & 0xFFFF,
+    )
+
+
+def _parse_block(chunk: np.ndarray, prev_ts: float) -> Optional[tuple[np.ndarray, ...]]:
+    """ts, seq, payload_len, the packed port pair and the two address keys
+    of the rows in ``chunk`` (bytes of the allowed class, whole lines);
+    None if a row is not canonical."""
+    buf = np.zeros(len(chunk) + 2 * _PAD, dtype=np.uint8)
+    buf[_PAD : _PAD + len(chunk)] = chunk
+    if chunk[-1] != ord("\n"):
+        buf[_PAD + len(chunk)] = ord("\n")  # the last row may lack its line end
+    ends = np.flatnonzero(buf == ord("\n"))
+    commas = np.flatnonzero(buf == ord(","))
+    if commas.size != 6 * ends.size:
+        return None
+    commas = commas.reshape(-1, 6)
+    starts = np.empty_like(ends)
+    starts[0] = _PAD
+    starts[1:] = ends[:-1] + 1
+    # with 6 commas per line on average, this holds only if every line has 6
+    if np.any(commas[:, 0] <= starts) or np.any(commas[:, 5] >= ends):
+        return None
+    ts = _timestamps(buf, starts, commas[:, 0])
+    columns = (
+        ts,
+        _uints(buf, commas[:, 4] + 1, commas[:, 5], 10, _SEQ_LIMIT),
+        _uints(buf, commas[:, 5] + 1, ends, 10, _SEQ_LIMIT),
+        _ip_keys(buf, commas[:, 0] + 1, commas[:, 1]),
+        _ip_keys(buf, commas[:, 1] + 1, commas[:, 2]),
+        _uints(buf, commas[:, 2] + 1, commas[:, 3], 5, 1 << 16),
+        _uints(buf, commas[:, 3] + 1, commas[:, 4], 5, 1 << 16),
+    )
+    if any(column is None for column in columns) or ts[0] < prev_ts:
+        return None
+    ts, seq, payload_len, src_key, dst_key, src_port, dst_port = columns
+    return ts, seq, payload_len, (src_port << 16) | dst_port, src_key, dst_key
+
+
+def _timestamps(buf: np.ndarray, first: np.ndarray, stop: np.ndarray) -> Optional[np.ndarray]:
+    """The fields buf[first:stop] as finite, non-negative, nondecreasing
+    floats, read as ``float`` reads them; None otherwise."""
+    length = stop - first
+    width = int(length.max())
+    if width > _PAD or np.any(buf[first] == ord("-")):
+        return None
+    chars = sliding_window_view(buf, width)[first]
+    chars *= np.arange(width) < length[:, None]  # a NUL ends an S string
+    try:
+        with np.errstate(over="ignore"):  # 1e999 reads as inf, refused below
+            ts = chars.view(f"S{width}")[:, 0].astype(np.float64)
+    except ValueError:
+        return None
+    if not np.isfinite(ts).all() or np.any(ts[1:] < ts[:-1]):
+        return None
+    return ts
+
+
+def _uints(
+    buf: np.ndarray, first: np.ndarray, stop: np.ndarray, width: int, limit: int
+) -> Optional[np.ndarray]:
+    """The fields buf[first:stop] as integers below ``limit``, each written
+    with digits only, at most ``width`` of them and no leading zero; None
+    otherwise."""
+    length = stop - first
+    if length.min() < 1 or length.max() > width:
+        return None
+    digits = sliding_window_view(buf, width)[stop - width] - np.uint8(ord("0"))
+    digits *= np.arange(width) >= width - length[:, None]  # zero the bytes before the field
+    if digits.max() > 9:
+        return None
+    value = np.zeros(len(first), dtype=np.int64)
+    for column in digits.T:  # column by column, with no n x width int64 temporary
+        value *= 10
+        value += column
+    # a number has as many digits as its field has bytes: no leading zero
+    lowest = np.array([0, 0] + [10**k for k in range(1, width)], dtype=np.int64)
+    if np.any(value < lowest[length]) or value.max() >= limit:
+        return None
+    return value
+
+
+def _ip_keys(buf: np.ndarray, first: np.ndarray, stop: np.ndarray) -> Optional[np.ndarray]:
+    """The fields buf[first:stop], of digits and dots, each packed four bits
+    a byte into one int64 (``_ip_strings`` reverses it); None otherwise."""
+    if int((stop - first).max()) > 15:
+        return None
+    codes = sliding_window_view(buf, 15)[first] - np.uint8(ord(","))  # '.' 2, digits 4-13
+    codes *= np.arange(15) < (stop - first)[:, None]  # zero the bytes after the field
+    if codes.max() > 13 or np.any(codes == ord("-") - ord(",")):
+        return None
+    keys = np.zeros(len(first), dtype=np.int64)
+    for column in codes.T:
+        keys <<= 4
+        keys |= column
+    return keys
+
+
+def _ip_strings(keys: np.ndarray) -> list[str]:
+    codes = (keys[:, None] >> np.arange(56, -1, -4)) & 15
+    chars = np.where(codes > 0, codes + ord(","), 0).astype(np.uint8)
+    return [ip.decode("ascii") for ip in chars.view("S15")[:, 0].tolist()]
 
 
 def write_trace_csv(arrays: PacketArrays, dest: IO[str]) -> None:

@@ -226,6 +226,8 @@ def test_usage_error_exit_code() -> None:
 
 
 def test_bad_flag_value_is_usage_error(trace_path: Path, tmp_path: Path) -> None:
+    hybrid_config = tmp_path / "hybrid.conf"
+    hybrid_config.write_text("hh-fraction = 0.3\nfilter-by-prefix = true\n")
     code = run_cli(
         "run", "--trace", str(trace_path), "--out", str(tmp_path / "o"),
         "--def", "7",
@@ -246,6 +248,27 @@ def test_bad_flag_value_is_usage_error(trace_path: Path, tmp_path: Path) -> None
         ("grid-hybrid", ("--buckets", ",")),
         ("grid-hybrid", ("--seeds", ",")),
         ("grid-hybrid", ("--hh-fraction", ",")),
+        # an empty item or a repeated value in a list
+        ("run", ("--buckets", "32,,32", "--seeds", "0,0")),
+        ("run", ("--buckets", "32,")),
+        ("run", ("--buckets", "32,32")),
+        ("run", ("--seeds", "0,0")),
+        ("run", ("--algo", "hybrid", "--hh-fraction", "0.5,0.50")),
+        ("grid-hybrid", ("--seeds", "0,0")),
+        ("grid-hybrid", ("--hh-fraction", "0.3,,0.6")),
+        # an option the chosen detector does not read, as a flag or a config key
+        ("run", ("--algo", "array", "--hh-fraction", "0.3")),
+        ("run", ("--algo", "array", "--filter-by-prefix")),
+        ("run", ("--d", "9")),
+        ("run", ("--algo", "array", "--r-hh", "0.1")),
+        ("sweep", ("--algo", "array", "--min-report-packets", "4")),
+        ("run", ("--algo", "hh", "--T", "0.001")),
+        ("sweep", ("--algo", "hh", "--C", "8")),
+        ("run", ("--algo", "hh", "--R", "2")),
+        ("run", ("--algo", "hh", "--report-all")),
+        ("run", ("--algo", "hh", "--hh-fraction", "0.3")),
+        ("run", ("--algo", "array", "--config", str(hybrid_config))),
+        ("sweep", ("--algo", "hh", "--config", str(hybrid_config))),
     ):
         for trace in (trace_path, tmp_path / "missing.csv"):
             code = run_cli(command, "--trace", str(trace), "--out", str(tmp_path / "o"), *flags)

@@ -1,11 +1,14 @@
 from __future__ import annotations
 
+import dataclasses
 import io
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+from reordermon import traceio
 from reordermon.model import FlowId, PacketRecord, int_to_ip
 from reordermon.oracle import compute_stats
 from reordermon.traceio import (
@@ -230,3 +233,216 @@ def test_port_out_of_range_rejected() -> None:
 def test_negative_fields_rejected() -> None:
     with pytest.raises(TraceFormatError, match="negative"):
         parse_text(TRACE_HEADER + "\n0.1,10.0.0.1,10.0.1.1,443,50000,-5,100\n")
+
+
+# --- the fast path against the line reader ------------------------------------
+
+_MUTATION_CHARS = "0123456789,.-eE+_ \t\r\n\xe9"
+
+# every row of test_malformed_row_names_line, and faults that few random
+# mutations make, each placed after a good row
+_SEED_ROWS = (
+    *NON_CANONICAL_ROWS,
+    "0.2,not-an-ip,10.0.1.1,443,50000,1000,100",
+    "0.1,10.0.0.1,10.0.1.1,443",
+    "0.1,10.0.0.1,10.0.1.1,0,50000,0,100",
+    "-0.1,10.0.0.1,10.0.1.1,443,50000,900,100",
+    "-0.0,10.0.0.1,10.0.1.1,443,50000,900,100",
+    "-1e-05,10.0.0.1,10.0.1.1,443,50000,900,100",
+    "0.1,10.0.0.1,10.0.1.1,443,50000,1000\xe9",
+    "0.1,10.0.0.1,10.0.1.1,443,50000,1000,100\xe9",
+    "0.05,10.0.0.1,10.0.1.1,443,50000,1100,100",
+    "0.2 ,10.0.0.1,10.0.1.1,443,50000,1000,100",
+    "+0.2,10.0.0.1,10.0.1.1,443,50000,1000,100",
+    "0.2,10.0.0.1,10.0.1.1,443,50000,1e3,100",
+    "0.2,10.0.0.1,10.0.1.1,443,5e4,1000,100",
+    "0.2,100.100.100.1001,10.0.1.1,443,50000,1000,100",
+    "0.2,1e.0.0.1,10.0.1.1,443,50000,1000,100",
+    ",10.0.0.1,10.0.1.1,443,50000,1000,100",
+    # eight fields, then six: seven on average
+    "0.2,10.0.0.1,10.0.1.1,443,50000,1000,100,7\n0.3,10.0.0.1,10.0.1.1,443,50000,1000",
+    "0.2,10.0.0.1,10.0.1.1,443,50000,1000\n0.3,10.0.0.1,10.0.1.1,443,50000,1000,100,7",
+)
+
+
+def _seed_text(row: str) -> str:
+    good = "0.1,10.0.0.1,10.0.1.1,443,50000,900,100"
+    return f"{TRACE_HEADER}\n{good}\n{row}\n"
+
+
+@st.composite
+def canonical_traces(draw) -> str:
+    """``write_trace_csv`` text of a small random trace, zero-payload rows
+    included."""
+    n_flows = draw(st.integers(1, 4))
+    flows = [
+        (
+            draw(st.integers(0, 2**32 - 1)),
+            draw(st.integers(0, 2**32 - 1)),
+            draw(st.sampled_from([0, 80, 443, 65535]) | st.integers(0, 65535)),
+            draw(st.integers(0, 65535)),
+        )
+        for _ in range(n_flows)
+    ]
+    n = draw(st.integers(0, 10))
+    ts = draw(st.sampled_from([0.0, 1e-07, 0.25, 3.0, 1e15, 1e16]))  # 1e+16 has a sign
+    rows = []
+    for _ in range(n):
+        ts += draw(st.sampled_from([0.0, 1e-06, 2e-4, 0.1, 1.5]))
+        rows.append(
+            (
+                ts,
+                draw(st.integers(0, n_flows - 1)),
+                draw(st.integers(0, 2**32 - 1)),
+                draw(st.sampled_from([0, 1, 1460, 2**32 - 1]) | st.integers(0, 2**32 - 1)),
+            )
+        )
+    arrays = PacketArrays(
+        ts=np.array([r[0] for r in rows], dtype=np.float64),
+        seq=np.array([r[2] for r in rows], dtype=np.int64),
+        payload_len=np.array([r[3] for r in rows], dtype=np.int64),
+        flow_id=np.array([r[1] for r in rows], dtype=np.int64),
+        flow_src_ip=np.array([f[0] for f in flows], dtype=np.int64),
+        flow_dst_ip=np.array([f[1] for f in flows], dtype=np.int64),
+        flow_src_port=np.array([f[2] for f in flows], dtype=np.int64),
+        flow_dst_port=np.array([f[3] for f in flows], dtype=np.int64),
+    )
+    buf = io.StringIO()
+    write_trace_csv(arrays, buf)
+    return buf.getvalue()
+
+
+@st.composite
+def mutated_traces(draw) -> str:
+    text = draw(canonical_traces())
+    for _ in range(draw(st.integers(0, 3))):
+        pos = draw(st.integers(0, len(text)))
+        char = draw(st.sampled_from(_MUTATION_CHARS))
+        op = draw(st.sampled_from(("insert", "delete", "replace")))
+        tail = text[pos:] if op == "insert" else text[pos + 1 :]
+        text = text[:pos] + ("" if op == "delete" else char) + tail
+    return text
+
+
+def _columns(arrays: PacketArrays) -> dict:
+    """Each column's dtype and bytes."""
+    columns = {f.name: getattr(arrays, f.name) for f in dataclasses.fields(arrays)}
+    return {name: (column.dtype, column.tobytes()) for name, column in columns.items()}
+
+
+def _outcome(parse):
+    """Every column with its dtype, and the meta, or the error text."""
+    try:
+        arrays, meta = parse()
+    except TraceFormatError as exc:
+        return str(exc)
+    assert meta == arrays.meta()
+    return _columns(arrays), meta
+
+
+def _reference(handle):
+    """The line reader alone, as parse_trace read every trace before."""
+    arrays = traceio._parse_lines(handle)
+    return arrays, arrays.meta()
+
+
+def _check_against_reference(text: str, path) -> None:
+    """parse_trace gives what the line reader gives, from a file and from a
+    StringIO, with the default block size and with blocks of one row."""
+    try:
+        path.write_bytes(text.encode("latin-1"))  # "\xe9" as one byte
+    except UnicodeEncodeError:
+        path.write_bytes(text.encode("utf-8"))
+    with open(path, encoding="ascii", errors="surrogateescape") as handle:
+        from_file = _outcome(lambda: _reference(handle))
+    from_text = _outcome(lambda: _reference(io.StringIO(text)))
+    for block_bytes in (traceio._BLOCK_BYTES, 1):
+        with mock.patch.object(traceio, "_BLOCK_BYTES", block_bytes):
+            assert _outcome(lambda: parse_trace(path)) == from_file
+            assert _outcome(lambda: parse_trace(io.StringIO(text))) == from_text
+
+
+def _seeded(test):
+    for row in _SEED_ROWS:
+        test = example(text=_seed_text(row))(test)
+    return test
+
+
+@settings(max_examples=600, deadline=None)
+@given(text=mutated_traces())
+@_seeded
+def test_parse_matches_line_reader(text: str, tmp_path_factory) -> None:
+    _check_against_reference(text, tmp_path_factory.getbasetemp() / "mutated.csv")
+
+
+def _refuse_line_reader(handle):
+    raise AssertionError("the line reader ran")
+
+
+def _expect_fast(data: bytes, tmp_path) -> PacketArrays:
+    """Parse ``data`` from a file and from a StringIO, first with the line
+    reader alone, then with the line reader refused; both must agree."""
+    path = tmp_path / "trace.csv"
+    path.write_bytes(data)
+    expected = _reference(io.StringIO(data.decode("ascii")))
+    with mock.patch.object(traceio, "_read_rows", _refuse_line_reader):
+        for source in (path, io.StringIO(data.decode("ascii"))):
+            arrays, meta = parse_trace(source)
+            assert _columns(arrays) == _columns(expected[0])
+            assert meta == expected[1] == arrays.meta()
+    return arrays
+
+
+@pytest.mark.parametrize("block_bytes", [traceio._BLOCK_BYTES, 4096])
+def test_fast_path_is_taken_on_generated_traces(tmp_path, monkeypatch, block_bytes) -> None:
+    monkeypatch.setattr(traceio, "_BLOCK_BYTES", block_bytes)
+    arrays, _ = generate_synthetic_arrays(SynthConfig(n_prefixes=64, seed=5, duration_seconds=1.0))
+    arrays.payload_len[::7] = 0  # zero-payload rows are read, then dropped
+    buf = io.StringIO()
+    write_trace_csv(arrays, buf)
+    parsed = _expect_fast(buf.getvalue().encode("ascii"), tmp_path)
+    assert len(parsed) == int(np.count_nonzero(arrays.payload_len)) > 1000
+
+
+def test_fast_path_header_only(tmp_path) -> None:
+    arrays = _expect_fast(f"{TRACE_HEADER}\n".encode(), tmp_path)
+    assert len(arrays) == 0 and arrays.flow_count == 0
+
+
+def test_fast_path_last_row_without_line_end(tmp_path) -> None:
+    rows = "0.1,10.0.0.1,10.0.1.1,443,50000,1000,100\n0.2,10.0.0.2,10.0.1.1,80,50001,7,1"
+    arrays = _expect_fast(f"{TRACE_HEADER}\n{rows}".encode(), tmp_path)
+    assert arrays.payload_len.tolist() == [100, 1]
+
+
+def test_fast_path_flow_with_only_zero_payload_gets_no_id(tmp_path) -> None:
+    rows = (
+        "0.1,10.0.7.9,10.0.1.1,443,50000,1000,0\n"  # a flow (and prefix) with no kept row
+        "0.2,10.0.0.1,10.0.1.1,443,50000,1000,100\n"
+        "0.3,10.0.7.9,10.0.1.1,443,50000,1000,0\n"
+        "0.4,10.0.0.2,10.0.1.1,443,50000,1000,100\n"
+        "0.5,10.0.0.1,10.0.1.1,443,50000,1100,100\n"
+    )
+    arrays = _expect_fast(f"{TRACE_HEADER}\n{rows}".encode(), tmp_path)
+    assert arrays.flow_id.tolist() == [0, 1, 0]
+    assert arrays.flow_src_ip.tolist() == [0x0A000001, 0x0A000002]
+    assert (arrays.meta().flow_count, arrays.meta().prefix_count) == (2, 1)
+
+
+def test_crlf_file_reads_as_lf_and_crlf_text_is_refused(tmp_path) -> None:
+    rows = ["0.1,10.0.0.1,10.0.1.1,443,50000,1000,100", "0.2,10.0.0.1,10.0.1.1,443,50000,1100,5"]
+    lf = "\n".join([TRACE_HEADER, *rows]) + "\n"
+    crlf = lf.replace("\n", "\r\n")
+    path = tmp_path / "crlf.csv"
+    path.write_bytes(crlf.encode())
+    assert _columns(parse_trace(path)[0]) == _columns(parse_text(lf)[0])
+    _check_against_reference(crlf, tmp_path / "check.csv")
+    with pytest.raises(TraceFormatError, match="line 1: expected header"):
+        parse_text(crlf)
+
+
+def test_blank_line_is_skipped(tmp_path) -> None:
+    rows = ["0.1,10.0.0.1,10.0.1.1,443,50000,1000,100", "0.2,10.0.0.1,10.0.1.1,443,50000,1100,5"]
+    text = f"{TRACE_HEADER}\n{rows[0]}\n\n{rows[1]}\n"
+    _check_against_reference(text, tmp_path / "blank.csv")
+    assert _columns(parse_text(text)[0]) == _columns(parse_text(text.replace("\n\n", "\n"))[0])
