@@ -38,6 +38,7 @@ from .harness import (
 from .traceio import (
     SynthConfig,
     TraceFormatError,
+    flow_table_meta,
     generate_synthetic_arrays,
     write_sidecar,
     write_trace_csv,
@@ -266,18 +267,19 @@ def _cmd_generate(args: argparse.Namespace) -> int:
         noisy_flow_fraction=resolved["noisy_fraction"],
         max_flows_per_prefix=resolved["max_flows"],
     )
+    try:
+        cfg.validate()
+    except ValueError as exc:  # bad option values, found before any file is opened
+        raise UsageError(str(exc)) from exc
     arrays, injected = generate_synthetic_arrays(cfg)
     out_path = Path(args.out)
     out_path.parent.mkdir(parents=True, exist_ok=True)
     with open(out_path, "w", encoding="ascii", newline="\n") as out:
         write_trace_csv(arrays, out)
     if args.sidecar:
-        sidecar = {
-            arrays.flow(fid): int(injected[fid]) for fid in range(arrays.flow_count)
-        }
         with open(args.sidecar, "w", encoding="ascii", newline="\n") as out:
-            write_sidecar(sidecar, out)
-    meta = arrays.meta()
+            write_sidecar(arrays, injected, out)
+    meta = flow_table_meta(arrays)  # every generated flow has packets
     print(
         f"wrote {meta.packet_count} packets, {meta.flow_count} flows, "
         f"{meta.prefix_count} prefixes to {out_path}"

@@ -43,8 +43,9 @@ from .traceio import PacketArrays
 
 @dataclass(frozen=True)
 class SamplerParams:
-    """B buckets; T staleness timeout (seconds); C packet cap; R report
-    threshold (report on eviction iff the record's o exceeds R)."""
+    """B buckets; T staleness timeout (seconds, ``inf`` for never stale);
+    C packet cap; R report threshold (report on eviction iff the record's o
+    exceeds R)."""
 
     n_buckets: int
     stale_after: float = 2.0**-15
@@ -57,8 +58,8 @@ class SamplerParams:
     def __post_init__(self) -> None:
         if self.n_buckets < 1:
             raise ValueError("n_buckets must be >= 1")
-        if self.stale_after <= 0:
-            raise ValueError("stale_after must be positive")
+        if not self.stale_after > 0:  # NaN compares false
+            raise ValueError("stale_after must be positive (inf: never stale)")
         if self.max_packets < 1:
             raise ValueError("max_packets must be >= 1")
         if self.report_threshold < 1:

@@ -25,7 +25,7 @@ from typing import IO, Iterable, Iterator, Optional, Union
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .model import FlowId, PacketRecord, PREFIX_MASK, int_to_ip, ip_to_int
+from .model import FlowId, PacketRecord, PREFIX_MASK, ip_to_int
 
 TRACE_HEADER = "ts,src_ip,dst_ip,src_port,dst_port,seq,payload_len"
 SIDECAR_HEADER = "flow_key,injected_displacements"
@@ -189,15 +189,20 @@ def parse_trace(source: Source) -> tuple[PacketArrays, TraceMeta]:
     else:
         del data, text  # every check has passed: free the buffer before grouping
         arrays = _flow_arrays(*columns)
-    # every flow of a parsed trace has a packet, so the flow tables give the
-    # counts without a pass over the packets
-    meta = TraceMeta(
+    # every flow of a parsed trace has a packet
+    return arrays, flow_table_meta(arrays)
+
+
+def flow_table_meta(arrays: PacketArrays) -> TraceMeta:
+    """``arrays.meta()`` from the flow tables, without a pass over the
+    packets; equal to it when every flow has a packet, as in a parsed or a
+    generated trace."""
+    return TraceMeta(
         packet_count=len(arrays),
         flow_count=arrays.flow_count,
         prefix_count=int(np.unique(arrays.flow_prefix_bits).size),
         duration_seconds=arrays.duration_seconds,
     )
-    return arrays, meta
 
 
 def _parse_lines(handle: IO[str]) -> PacketArrays:
@@ -469,24 +474,6 @@ def _ip_strings(keys: np.ndarray) -> list[str]:
     return [ip.decode("ascii") for ip in chars.view("S15")[:, 0].tolist()]
 
 
-def write_trace_csv(arrays: PacketArrays, dest: IO[str]) -> None:
-    """Write the canonical CSV; ``parse_trace`` reads it back exactly."""
-    src = [int_to_ip(ip) for ip in arrays.flow_src_ip.tolist()]
-    dst = [int_to_ip(ip) for ip in arrays.flow_dst_ip.tolist()]
-    sport = arrays.flow_src_port.tolist()
-    dport = arrays.flow_dst_port.tolist()
-    dest.write(TRACE_HEADER + "\n")
-    for fid, seq, length, ts in zip(
-        arrays.flow_id.tolist(),
-        arrays.seq.tolist(),
-        arrays.payload_len.tolist(),
-        arrays.ts.tolist(),
-    ):
-        dest.write(
-            f"{ts!r},{src[fid]},{dst[fid]},{sport[fid]},{dport[fid]},{seq},{length}\n"
-        )
-
-
 def filter_server_to_client(arrays: PacketArrays) -> PacketArrays:
     """Keep the server-to-client direction.
 
@@ -497,17 +484,29 @@ def filter_server_to_client(arrays: PacketArrays) -> PacketArrays:
     return arrays.subset((arrays.flow_src_port < arrays.flow_dst_port)[arrays.flow_id])
 
 
-def flow_key_str(flow: FlowId) -> str:
-    return (
-        f"{int_to_ip(flow.src_ip)}:{flow.src_port}"
-        f">{int_to_ip(flow.dst_ip)}:{flow.dst_port}"
-    )
+def write_trace_csv(arrays: PacketArrays, dest: IO[str]) -> None:
+    """Write the canonical CSV; ``parse_trace`` reads it back exactly.
+
+    Each row is the text of
+    ``f"{ts!r},{src_ip},{dst_ip},{src_port},{dst_port},{seq},{payload_len}\\n"``
+    with the addresses as dotted quads; seq and payload_len must not be
+    negative.
+    """
+    from . import csvtext  # compiled only by the commands that write a trace
+
+    dest.write(TRACE_HEADER + "\n")
+    for rows in csvtext.trace_rows(arrays):
+        dest.write(rows)
 
 
-def write_sidecar(counts: dict[FlowId, int], dest: IO[str]) -> None:
+def write_sidecar(arrays: PacketArrays, counts: np.ndarray, dest: IO[str]) -> None:
+    """Write one ``src_ip:src_port>dst_ip:dst_port,count`` line per flow of
+    ``arrays``'s flow tables, in flow id order; ``counts`` is indexed by flow
+    id."""
+    from . import csvtext
+
     dest.write(SIDECAR_HEADER + "\n")
-    for flow, count in counts.items():
-        dest.write(f"{flow_key_str(flow)},{count}\n")
+    dest.write(csvtext.sidecar_rows(arrays, counts))
 
 
 # --- synthetic workload -----------------------------------------------------
@@ -549,18 +548,26 @@ class SynthConfig:
     stall_fraction: float = 0.3
 
     def validate(self) -> None:
-        if self.n_prefixes < 1:
-            raise ValueError("n_prefixes must be >= 1")
+        if not 1 <= self.n_prefixes <= 1 << 16:
+            raise ValueError("n_prefixes must lie in [1, 2^16]")
         if not 0.0 <= self.bad_prefix_fraction <= 1.0:
             raise ValueError("bad_prefix_fraction must lie in [0, 1]")
         if not 0.0 <= self.good_reorder_prob <= self.bad_reorder_prob <= 1.0:
             raise ValueError("need 0 <= good_reorder_prob <= bad_reorder_prob <= 1")
         if self.displacement_max < 1:
             raise ValueError("displacement_max must be >= 1")
-        if self.duration_seconds <= 0:
-            raise ValueError("duration_seconds must be positive")
-        if self.mean_flow_size < 2:
-            raise ValueError("mean_flow_size must be >= 2")
+        if not 0.0 < self.duration_seconds < math.inf:
+            raise ValueError("duration_seconds must be finite and positive")
+        if not 2.0 <= self.mean_flow_size < math.inf:
+            raise ValueError("mean_flow_size must be finite and >= 2")
+        for name in ("flows_per_prefix_zipf_exponent", "flow_size_zipf_exponent"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
+        if not 0.0 <= self.noisy_flow_fraction <= 1.0:
+            raise ValueError("noisy_flow_fraction must lie in [0, 1]")
+        for name in ("max_flows_per_prefix", "max_flow_size"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1")
 
 
 def _bounded_zipf(rng: np.random.Generator, exponent: float, kmax: int, size: int) -> np.ndarray:
@@ -586,8 +593,6 @@ def generate_synthetic_arrays(cfg: SynthConfig) -> tuple[PacketArrays, np.ndarra
     rng = np.random.default_rng(cfg.seed)
 
     base_prefix = ip_to_int("10.0.0.0")
-    if cfg.n_prefixes > (1 << 16):
-        raise ValueError("n_prefixes above 2^16 is not supported")
     prefix_bits = base_prefix + (np.arange(cfg.n_prefixes, dtype=np.int64) << 8)
     bad_prefix = rng.random(cfg.n_prefixes) < cfg.bad_prefix_fraction
 

@@ -92,3 +92,29 @@ def test_analyze_runs_the_traced_oracle(
     assert sorted(set(calls)) == sorted(names)
     assert calls.count("mean_pearson_correlation") == 2  # DEF1 and DEF2
     assert calls.count("ground_truth") == 2
+
+
+def test_generate_runs_the_traced_writers(
+    monkeypatch: pytest.MonkeyPatch, tmp_path: Path
+) -> None:
+    """The traced run reports ``traceio.write_s`` by wrapping
+    ``write_trace_csv`` and ``write_sidecar`` inside ``reordermon.cli``, and
+    ``traceio.csv_mb`` from the ``tell()`` of the trace writer's second
+    argument; ``generate`` must call both writers through those names."""
+    from reordermon import cli
+
+    calls = []
+    for name in ("write_trace_csv", "write_sidecar"):
+        real = getattr(cli, name)
+
+        def recording(*args, _name=name, _real=real):
+            _real(*args)
+            calls.append((_name, args[1].tell() if _name == "write_trace_csv" else None))
+
+        monkeypatch.setattr(cli, name, recording)
+    trace, sidecar = tmp_path / "trace.csv", tmp_path / "truth.csv"
+    assert cli.main(
+        ["generate", "--out", str(trace), "--sidecar", str(sidecar), "--prefixes", "8",
+         "--duration", "0.2", "--seed", "1"]
+    ) == 0
+    assert calls == [("write_trace_csv", trace.stat().st_size), ("write_sidecar", None)]

@@ -42,6 +42,37 @@ def test_generate_writes_trace_and_sidecar(tmp_path: Path) -> None:
     assert sidecar.read_text().splitlines()[0] == "flow_key,injected_displacements"
 
 
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ("--duration", "nan"),
+        ("--duration", "inf"),
+        ("--duration", "0"),
+        ("--max-flows", "0"),
+        ("--mean-flow-size", "nan"),
+        ("--mean-flow-size", "inf"),
+        ("--mean-flow-size", "1.5"),
+        ("--size-zipf", "nan"),
+        ("--flows-zipf", "inf"),
+        ("--noisy-fraction", "2"),
+        ("--noisy-fraction", "-1"),
+        ("--noisy-fraction", "nan"),
+        ("--prefixes", "0"),
+        ("--prefixes", "65537"),
+    ],
+)
+def test_generate_bad_option_is_usage_error_and_writes_nothing(
+    tmp_path: Path, flags: tuple[str, ...]
+) -> None:
+    out = tmp_path / "gen"
+    code = run_cli(
+        "generate", "--out", str(out / "t.csv"), "--sidecar", str(tmp_path / "s.csv"),
+        "--prefixes", "4", "--duration", "0.1", *flags,
+    )
+    assert code == 1
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_generate_is_byte_identical_across_runs(tmp_path: Path) -> None:
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     for out in (a, b):
@@ -238,6 +269,8 @@ def test_bad_flag_value_is_usage_error(trace_path: Path, tmp_path: Path) -> None
     for command, flags in (
         ("run", ("--buckets", "0")),
         ("run", ("--C", "0")),
+        ("run", ("--algo", "array", "--T", "nan")),
+        ("sweep", ("--algo", "hybrid", "--T", "nan")),
         ("run", ("--alpha", "200", "--beta", "100")),
         # one bucket, all of it for a two-stage HH table: neither structure
         ("run", ("--algo", "hybrid", "--buckets", "1", "--hh-fraction", "1")),

@@ -185,7 +185,10 @@ def test_def3_rejected_and_param_validation() -> None:
     with pytest.raises(ValueError):
         SamplerParams(n_buckets=4, stale_after=0.0)
     with pytest.raises(ValueError):
+        SamplerParams(n_buckets=4, stale_after=float("nan"))
+    with pytest.raises(ValueError):
         SamplerParams(n_buckets=4, report_threshold=0)
+    SamplerParams(n_buckets=4, stale_after=float("inf"))  # never stale
 
 
 def test_access_budget_one_bucket_per_packet() -> None:

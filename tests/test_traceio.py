@@ -2,23 +2,26 @@ from __future__ import annotations
 
 import dataclasses
 import io
+import math
 from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from reordermon import traceio
+from reordermon import csvtext, traceio
 from reordermon.model import FlowId, PacketRecord, int_to_ip
 from reordermon.oracle import compute_stats
 from reordermon.traceio import (
     PacketArrays,
+    SIDECAR_HEADER,
     SynthConfig,
     TRACE_HEADER,
     TraceFormatError,
     filter_server_to_client,
     generate_synthetic_arrays,
     parse_trace,
+    write_sidecar,
     write_trace_csv,
 )
 
@@ -165,6 +168,165 @@ def test_write_trace_csv_matches_record_serializer() -> None:
     assert trace_text(records) == "\n".join(expected) + "\n"
 
 
+def per_row_csv(arrays: PacketArrays) -> str:
+    """The reference writer: one f-string per row."""
+    src = [int_to_ip(ip) for ip in arrays.flow_src_ip.tolist()]
+    dst = [int_to_ip(ip) for ip in arrays.flow_dst_ip.tolist()]
+    sport = arrays.flow_src_port.tolist()
+    dport = arrays.flow_dst_port.tolist()
+    rows = [TRACE_HEADER + "\n"]
+    for fid, seq, length, ts in zip(
+        arrays.flow_id.tolist(), arrays.seq.tolist(), arrays.payload_len.tolist(), arrays.ts.tolist()
+    ):
+        rows.append(f"{ts!r},{src[fid]},{dst[fid]},{sport[fid]},{dport[fid]},{seq},{length}\n")
+    return "".join(rows)
+
+
+def per_flow_sidecar(arrays: PacketArrays, counts: np.ndarray) -> str:
+    """The reference sidecar: one f-string per flow."""
+    lines = [SIDECAR_HEADER + "\n"]
+    for fid in range(arrays.flow_count):
+        flow = arrays.flow(fid)
+        lines.append(
+            f"{int_to_ip(flow.src_ip)}:{flow.src_port}>{int_to_ip(flow.dst_ip)}:{flow.dst_port},"
+            f"{int(counts[fid])}\n"
+        )
+    return "".join(lines)
+
+
+def float_texts(values) -> list[str]:
+    """What the writer puts in the timestamp field for each value."""
+    x = np.asarray(values, dtype=np.float64)
+    return csvtext._text(csvtext._join(csvtext._float_text(x), b"\n")).split("\n")[:-1]
+
+
+def _neighbours(value: float) -> list[float]:
+    return [float(np.nextafter(value, -np.inf)), value, float(np.nextafter(value, np.inf))]
+
+
+FLOAT_EXAMPLES = [
+    0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1.7976931348623157e308,
+    math.nan, math.inf, -math.inf, -1.5, 0.1, 0.30000000000000004, 1e16, 123.456,
+    *_neighbours(1e-4), *_neighbours(2.0**50),
+    *(2.0**k for k in range(-20, 60)),
+    *(v for k in range(-6, 18) for v in _neighbours(10.0**k)),
+    *(k / 2 for k in range(1, 40, 2)),  # dyadic halves
+    *(k / 8 for k in range(1, 40, 2)),
+    # exact ties at the shortest precision: repr picks the even last digit
+    221033635699240.125, 221033635699240.375, 221033635699240.625, 221033635699240.875,
+]
+
+
+def test_float_text_matches_repr_on_examples() -> None:
+    assert float_texts(FLOAT_EXAMPLES) == [repr(v) for v in FLOAT_EXAMPLES]
+
+
+@settings(max_examples=300, deadline=None)
+@given(values=st.lists(st.floats(), min_size=1, max_size=40))
+def test_float_text_matches_repr(values: list[float]) -> None:
+    assert float_texts(values) == [repr(v) for v in values]
+
+
+@pytest.mark.parametrize("domain", ["exact", "finite"])
+def test_float_text_matches_repr_on_random_bits(domain: str) -> None:
+    """A million random bit patterns inside the exact domain (1e-4 <= x <
+    2^50), and a million across all finite doubles."""
+    rng = np.random.default_rng(20261019)
+    n, chunk = 1_000_000, 250_000
+    if domain == "exact":
+        low, high = (int(np.float64(v).view(np.uint64)) for v in (1e-4, 2.0**50))
+        bits = rng.integers(low, high, n, dtype=np.uint64)
+    else:
+        bits = rng.integers(0, 1 << 64, n + n // 100, dtype=np.uint64)
+        bits = bits[(bits >> np.uint64(52)) & np.uint64(0x7FF) != 0x7FF][:n]
+    x = bits.view(np.float64)
+    assert len(x) == n
+    mismatches = 0
+    for start in range(0, n, chunk):
+        part = x[start : start + chunk]
+        mismatches += sum(a != b for a, b in zip(float_texts(part), map(repr, part.tolist())))
+    assert mismatches == 0
+    if domain == "exact":
+        # only the ties that round-trip (about 0.8% of these, all above
+        # 2^34) go to repr
+        assert np.count_nonzero(~csvtext._shortest_decimal(x)[2]) < 0.01 * n
+
+
+def test_generated_timestamps_take_the_exact_path() -> None:
+    """Only the few timestamps below 1e-4, which repr writes with an
+    exponent, are left to repr."""
+    arrays, _ = generate_synthetic_arrays(SynthConfig(n_prefixes=64, seed=5, duration_seconds=10.0))
+    exact = csvtext._shortest_decimal(arrays.ts)[2]
+    assert exact[arrays.ts >= 1e-4].all() and exact.mean() > 0.999
+
+
+@st.composite
+def any_traces(draw) -> PacketArrays:
+    """Packet columns with any float64 timestamps and full-range fields."""
+    n_flows = draw(st.integers(0, 4))
+    n = draw(st.integers(0, 12)) if n_flows else 0
+    u32 = st.integers(0, 2**32 - 1)
+
+    def column(strategy, size, dtype=np.int64):
+        return np.array(draw(st.lists(strategy, min_size=size, max_size=size)), dtype=dtype)
+
+    return PacketArrays(
+        ts=column(st.floats(), n, np.float64),
+        seq=column(st.sampled_from([0, 9, 10, 2**32 - 1]) | u32, n),
+        payload_len=column(st.sampled_from([0, 1, 1460, 2**32 - 1]) | u32, n),
+        flow_id=column(st.integers(0, max(n_flows - 1, 0)), n),
+        flow_src_ip=column(st.sampled_from([0, 2**32 - 1]) | u32, n_flows),
+        flow_dst_ip=column(u32, n_flows),
+        flow_src_port=column(st.sampled_from([0, 80, 65535]) | st.integers(0, 65535), n_flows),
+        flow_dst_port=column(st.integers(0, 65535), n_flows),
+    )
+
+
+@pytest.mark.parametrize("block_rows", [csvtext._WRITE_ROWS, 1, 3])
+@settings(max_examples=150, deadline=None)
+@given(arrays=any_traces())
+def test_write_trace_csv_matches_per_row_writer(arrays: PacketArrays, block_rows: int) -> None:
+    buf = io.StringIO()
+    with mock.patch.object(csvtext, "_WRITE_ROWS", block_rows):
+        write_trace_csv(arrays, buf)
+    assert buf.getvalue() == per_row_csv(arrays)
+
+
+def test_write_trace_csv_empty_trace_and_negative_field() -> None:
+    arrays, _ = generate_synthetic_arrays(SynthConfig(n_prefixes=4, seed=1, duration_seconds=0.1))
+    for empty in (arrays.subset(np.zeros(len(arrays), dtype=bool)), PacketArrays.from_records([])):
+        buf = io.StringIO()
+        write_trace_csv(empty, buf)
+        assert buf.getvalue() == per_row_csv(empty) == TRACE_HEADER + "\n"
+    arrays.seq[3] = -1
+    with pytest.raises(ValueError, match="negative"):
+        write_trace_csv(arrays, io.StringIO())
+
+
+@settings(max_examples=100, deadline=None)
+@given(arrays=any_traces(), data=st.data())
+def test_write_sidecar_matches_per_flow_writer(arrays: PacketArrays, data) -> None:
+    counts = np.array(
+        data.draw(st.lists(st.integers(0, 2**40), min_size=arrays.flow_count, max_size=arrays.flow_count)),
+        dtype=np.int64,
+    )
+    buf = io.StringIO()
+    write_sidecar(arrays, counts, buf)
+    assert buf.getvalue() == per_flow_sidecar(arrays, counts)
+
+
+def test_generated_trace_and_sidecar_match_reference_writers() -> None:
+    arrays, injected = generate_synthetic_arrays(
+        SynthConfig(n_prefixes=48, seed=7, duration_seconds=2.0, bad_prefix_fraction=0.3)
+    )
+    buf = io.StringIO()
+    write_trace_csv(arrays, buf)
+    assert buf.getvalue() == per_row_csv(arrays)
+    buf = io.StringIO()
+    write_sidecar(arrays, injected, buf)
+    assert buf.getvalue() == per_flow_sidecar(arrays, injected)
+
+
 def test_generator_is_deterministic() -> None:
     cfg = SynthConfig(n_prefixes=32, seed=11, duration_seconds=1.0)
     a, inj_a = generate_synthetic_arrays(cfg)
@@ -223,6 +385,25 @@ def test_invalid_configs_rejected() -> None:
         SynthConfig(n_prefixes=4, good_reorder_prob=0.5, bad_reorder_prob=0.1).validate()
     with pytest.raises(ValueError):
         SynthConfig(n_prefixes=4, displacement_max=0).validate()
+    for field, value in (
+        ("n_prefixes", 2**16 + 1),
+        ("duration_seconds", math.nan),
+        ("duration_seconds", math.inf),
+        ("duration_seconds", 0.0),
+        ("mean_flow_size", math.nan),
+        ("mean_flow_size", math.inf),
+        ("mean_flow_size", 1.9),
+        ("flows_per_prefix_zipf_exponent", math.nan),
+        ("flow_size_zipf_exponent", -math.inf),
+        ("noisy_flow_fraction", 1.5),
+        ("noisy_flow_fraction", -0.1),
+        ("noisy_flow_fraction", math.nan),
+        ("max_flows_per_prefix", 0),
+        ("max_flow_size", 0),
+    ):
+        with pytest.raises(ValueError):
+            dataclasses.replace(SynthConfig(n_prefixes=4), **{field: value}).validate()
+    SynthConfig(n_prefixes=2**16, noisy_flow_fraction=1.0, flow_size_zipf_exponent=-1.0).validate()
 
 
 def test_port_out_of_range_rejected() -> None:
