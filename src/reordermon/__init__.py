@@ -6,28 +6,38 @@ an exhaustive oracle provides ground truth; the harness reproduces the
 evaluation metrics on synthetic workloads.
 """
 
-from .controlplane import AggregatorMode, AggregatorParams, ReportAggregator
-from .heavyhitter import HHEntry, HHParams, ReorderHeavyHitter
-from .hybrid import HybridDetector, HybridParams
-from .model import (
-    FlowId,
-    PacketRecord,
-    Prefix,
-    ReorderDef,
-    SeqState,
-    is_out_of_order,
-    prefix_of,
-)
-from .oracle import GroundTruth, TraceStats, compute_stats, ground_truth
-from .reports import Report, ReportSource
-from .sampling import BucketRecord, FlowSamplingArray, SamplerParams
-from .traceio import (
-    PacketArrays,
-    SynthConfig,
-    TraceMeta,
-    generate_synthetic_arrays,
-    parse_trace,
-)
+from __future__ import annotations
+
+import importlib
+
+# Each public name is imported from its module on first access (PEP 562),
+# so ``import reordermon`` loads nothing heavy: the CLI parses its
+# arguments before numpy is imported.
+_SOURCES = {
+    "controlplane": ("AggregatorMode", "AggregatorParams", "ReportAggregator"),
+    "heavyhitter": ("HHEntry", "HHParams", "ReorderHeavyHitter"),
+    "hybrid": ("HybridDetector", "HybridParams"),
+    "model": (
+        "FlowId",
+        "PacketRecord",
+        "Prefix",
+        "ReorderDef",
+        "SeqState",
+        "is_out_of_order",
+        "prefix_of",
+    ),
+    "oracle": ("GroundTruth", "TraceStats", "compute_stats", "ground_truth"),
+    "reports": ("Report", "ReportSource"),
+    "sampling": ("BucketRecord", "FlowSamplingArray", "SamplerParams"),
+    "traceio": (
+        "PacketArrays",
+        "SynthConfig",
+        "TraceMeta",
+        "generate_synthetic_arrays",
+        "parse_trace",
+    ),
+}
+_MODULE_OF = {name: module for module, names in _SOURCES.items() for name in names}
 
 __all__ = [
     "AggregatorMode",
@@ -60,3 +70,16 @@ __all__ = [
     "parse_trace",
     "prefix_of",
 ]
+
+
+def __getattr__(name: str):
+    module = _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__))

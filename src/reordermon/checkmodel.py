@@ -276,3 +276,52 @@ def empirical_guarantee(model: CheckModel, trials: int, seed: int = 0) -> Guaran
         mean_checks=float(counts.mean()),
         vacuous=bound >= 1.0,
     )
+
+
+# --- presets ----------------------------------------------------------------
+
+
+def check_model_presets() -> dict[str, CheckModel]:
+    """Hand-built flow distributions whose analytic failure bound is small
+    enough to test the check-count guarantee empirically."""
+    two_flows = CheckModel(
+        flow_probs=(0.5, 0.5),
+        flow_prefix=(0, 1),
+        prefix_bucket=(0, 0),
+        bucket=0,
+        target_prefix=0,
+        p_min=0.4,
+        packets_per_check=8,
+        stream_length=8_000,
+        epsilon=0.5,
+        delta=0.5,
+    )
+    uniform_fifty = CheckModel(
+        flow_probs=(0.02,) * 50,
+        flow_prefix=(0,) * 10 + tuple(range(1, 41)),
+        prefix_bucket=(0,) * 41,
+        bucket=0,
+        target_prefix=0,
+        p_min=0.01,
+        packets_per_check=8,
+        stream_length=24_000,
+        epsilon=0.6,
+        delta=0.6,
+    )
+    one_heavy = CheckModel(
+        flow_probs=(0.5,) + (0.025,) * 20,
+        flow_prefix=(0,) + tuple(1 + (i // 5) for i in range(20)),
+        prefix_bucket=(0,) * 5,
+        bucket=0,
+        target_prefix=1,
+        p_min=0.01,
+        packets_per_check=8,
+        stream_length=20_000,
+        epsilon=0.6,
+        delta=0.5,
+    )
+    return {
+        "two-equal-flows": two_flows,
+        "uniform-fifty": uniform_fifty,
+        "one-heavy": one_heavy,
+    }

@@ -14,35 +14,56 @@ error, 2 data error.
 from __future__ import annotations
 
 import argparse
+import importlib
 import json
 import sys
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Optional, Sequence
 
-from .checkmodel import CheckModel, empirical_guarantee
 from .controlplane import AggregatorMode
-from .harness import (
-    DEF_BY_NUMBER,
-    RESULT_COLUMNS,
-    AnalysisParams,
-    ExperimentSpec,
-    analyze_trace,
-    check_model_presets,
-    grid_search_hybrid,
-    load_trace_arrays,
-    result_rows,
-    run_experiment,
-    write_csv,
-)
-from .traceio import (
-    SynthConfig,
-    TraceFormatError,
-    flow_table_meta,
-    generate_synthetic_arrays,
-    write_sidecar,
-    write_trace_csv,
-)
+from .model import DEF_BY_NUMBER
+
+# The names the commands take from the other layers, and the module of each.
+# argv is parsed before any of them is imported (the layers import numpy),
+# and a command imports only the modules it runs (``_bind``).  Once bound,
+# each is a global of the running module, so a caller can wrap it there
+# (the traced benchmark run does); binding never replaces a name already
+# set.
+_LAZY = {
+    "CheckModel": "checkmodel",
+    "check_model_presets": "checkmodel",
+    "empirical_guarantee": "checkmodel",
+    "RESULT_COLUMNS": "harness",
+    "AnalysisParams": "harness",
+    "ExperimentSpec": "harness",
+    "analyze_trace": "harness",
+    "grid_search_hybrid": "harness",
+    "load_trace_arrays": "harness",
+    "result_rows": "harness",
+    "run_experiment": "harness",
+    "SynthConfig": "traceio",
+    "flow_table_meta": "traceio",
+    "generate_synthetic_arrays": "traceio",
+    "write_sidecar": "traceio",
+    "write_trace_csv": "traceio",
+    "write_csv": "writers",
+}
+
+
+def _bind(*names: str) -> None:
+    scope = globals()
+    for name in names:
+        if name not in scope:
+            module = importlib.import_module(f".{_LAZY[name]}", __package__)
+            scope.setdefault(name, getattr(module, name))
+
+
+def __getattr__(name: str):
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    _bind(name)
+    return globals()[name]
 
 
 class UsageError(Exception):
@@ -223,6 +244,7 @@ LEMMA_OPTS = (
 def _spec_from(resolved: dict[str, object], algorithm: Optional[str] = None) -> ExperimentSpec:
     if resolved["def"] not in DEF_BY_NUMBER:
         raise UsageError("--def must be 1 or 2")
+    _bind("ExperimentSpec")
     try:
         return ExperimentSpec(
             algorithm=algorithm if algorithm is not None else resolved["algo"],
@@ -253,6 +275,13 @@ def _spec_from(resolved: dict[str, object], algorithm: Optional[str] = None) -> 
 
 def _cmd_generate(args: argparse.Namespace) -> int:
     resolved, _ = _resolve(args, GENERATE_OPTS)
+    _bind(
+        "SynthConfig",
+        "generate_synthetic_arrays",
+        "write_trace_csv",
+        "write_sidecar",
+        "flow_table_meta",
+    )
     cfg = SynthConfig(
         n_prefixes=resolved["prefixes"],
         flows_per_prefix_zipf_exponent=resolved["flows_zipf"],
@@ -289,6 +318,7 @@ def _cmd_generate(args: argparse.Namespace) -> int:
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
     resolved, _ = _resolve(args, ANALYZE_OPTS)
+    _bind("AnalysisParams", "load_trace_arrays", "analyze_trace")
     try:
         params = AnalysisParams(
             eps=resolved["eps"],
@@ -316,6 +346,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
             f"--algo {spec.algorithm} does not read "
             + ", ".join(f"--{name}" for name in sorted(unread))
         )
+    _bind("load_trace_arrays", "run_experiment", "result_rows", "RESULT_COLUMNS", "write_csv")
     arrays = load_trace_arrays(args.trace)
     rows = result_rows(run_experiment(arrays, spec))
     out_dir = Path(args.out)
@@ -338,6 +369,7 @@ GRID_DETECTOR_OPTS = tuple(
 def _cmd_grid_hybrid(args: argparse.Namespace) -> int:
     resolved, _ = _resolve(args, GRID_DETECTOR_OPTS)
     spec = _spec_from(resolved, algorithm="hybrid")
+    _bind("load_trace_arrays", "grid_search_hybrid", "result_rows", "RESULT_COLUMNS", "write_csv")
     arrays = load_trace_arrays(args.trace)
     results, best = grid_search_hybrid(arrays, spec)
     out_dir = Path(args.out)
@@ -352,6 +384,7 @@ def _cmd_validate_lemma(args: argparse.Namespace) -> int:
     resolved, _ = _resolve(args, LEMMA_OPTS)
     if resolved["trials"] < 1:
         raise UsageError("--trials must be >= 1")
+    _bind("CheckModel", "check_model_presets", "empirical_guarantee", "write_csv")
     models: dict[str, CheckModel] = {}
     if args.model:
         raw = json.loads(Path(args.model).read_text(encoding="ascii"))
@@ -482,10 +515,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (TraceFormatError, FileNotFoundError, IsADirectoryError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, KeyError, json.JSONDecodeError) as exc:
+    # a malformed trace (TraceFormatError) or model file is a ValueError
+    except (FileNotFoundError, IsADirectoryError, ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -7,20 +7,16 @@ so identical invocations produce byte-identical artifacts.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
 import numpy as np
 
-from .checkmodel import CheckModel
 from .controlplane import AggregatorMode, AggregatorParams, ReportAggregator
-from .heavyhitter import HHParams, ReorderHeavyHitter
-from .hybrid import HybridDetector, HybridParams
 from .metrics import EvalResult, accuracy, communication_overhead, false_positive_rate
-from .model import Prefix, ReorderDef
+from .model import DEF_BY_NUMBER, Prefix, ReorderDef
 from .oracle import (
     TraceStats,
     UndefinedCorrelationError,
@@ -31,12 +27,16 @@ from .oracle import (
     mean_pearson_correlation,
 )
 from .reports import Report
-from .sampling import FlowSamplingArray, SamplerParams
 from .traceio import PacketArrays, parse_trace
+from .writers import write_csv, write_json
 
-DEF_BY_NUMBER = {1: ReorderDef.DEF1_DECREASE, 2: ReorderDef.DEF2_GAP}
+if TYPE_CHECKING:
+    from .heavyhitter import HHParams
+    from .hybrid import HybridParams
+    from .sampling import SamplerParams
+
 NUMBER_BY_DEF = {v: k for k, v in DEF_BY_NUMBER.items()}
-DETECTORS = {"array": FlowSamplingArray, "hh": ReorderHeavyHitter, "hybrid": HybridDetector}
+ALGORITHMS = ("array", "hh", "hybrid")
 
 
 @dataclass(frozen=True)
@@ -68,7 +68,7 @@ class ExperimentSpec:
     filter_by_prefix: bool = False
 
     def __post_init__(self) -> None:
-        if self.algorithm not in DETECTORS:
+        if self.algorithm not in ALGORITHMS:
             raise ValueError(f"unknown algorithm {self.algorithm!r}")
         if self.alpha >= self.beta:
             raise ValueError("alpha must be smaller than beta")
@@ -98,7 +98,28 @@ def load_trace_arrays(path: str | Path) -> PacketArrays:
     return parse_trace(path)[0]
 
 
+def detector_class(algorithm: str) -> type:
+    """The detector class of one of ``ALGORITHMS``.
+
+    Here and in the parameter builders below, a detector's module is
+    imported when a spec of its algorithm is built or run, so a command
+    loads only the detector it runs."""
+    if algorithm == "array":
+        from .sampling import FlowSamplingArray
+
+        return FlowSamplingArray
+    if algorithm == "hh":
+        from .heavyhitter import ReorderHeavyHitter
+
+        return ReorderHeavyHitter
+    from .hybrid import HybridDetector
+
+    return HybridDetector
+
+
 def sampler_params(spec: ExperimentSpec, buckets: int, seed: int) -> SamplerParams:
+    from .sampling import SamplerParams
+
     return SamplerParams(
         n_buckets=buckets,
         stale_after=spec.stale_after,
@@ -111,6 +132,8 @@ def sampler_params(spec: ExperimentSpec, buckets: int, seed: int) -> SamplerPara
 
 
 def hh_params(spec: ExperimentSpec, buckets_per_stage: int, seed: int) -> HHParams:
+    from .heavyhitter import HHParams
+
     return HHParams(
         n_stages=spec.hh_stages,
         buckets_per_stage=buckets_per_stage,
@@ -130,6 +153,8 @@ def detector_params(
         return sampler_params(spec, buckets, seed)
     if spec.algorithm == "hh":
         return hh_params(spec, max(1, buckets // spec.hh_stages), seed)
+    from .hybrid import HybridParams
+
     params = HybridParams(
         total_buckets=buckets,
         hh_fraction=hh_fraction,
@@ -161,7 +186,7 @@ def collect_reports(
 ) -> list[Report]:
     """Stream the trace through one freshly built detector; eviction reports
     followed by the end-of-interval flush."""
-    detector = DETECTORS[spec.algorithm](detector_params(spec, buckets, hh_fraction, seed))
+    detector = detector_class(spec.algorithm)(detector_params(spec, buckets, hh_fraction, seed))
     reports = detector.process_trace(arrays)
     reports.extend(detector.flush())
     return reports
@@ -291,25 +316,6 @@ def grid_search_hybrid(
                 best_x = x
         best_rows.append({"buckets": buckets, "best_hh_fraction": best_x, "mean_accuracy": best_acc})
     return results, best_rows
-
-
-def _fmt(value) -> str:
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
-def write_csv(path: str | Path, columns: Sequence[str], rows: Iterable[dict]) -> None:
-    with open(path, "w", encoding="ascii", newline="\n") as out:
-        out.write(",".join(columns) + "\n")
-        for row in rows:
-            out.write(",".join(_fmt(row[col]) for col in columns) + "\n")
-
-
-def write_json(path: str | Path, payload) -> None:
-    with open(path, "w", encoding="ascii", newline="\n") as out:
-        json.dump(payload, out, indent=2, sort_keys=True)
-        out.write("\n")
 
 
 @dataclass(frozen=True)
@@ -462,52 +468,3 @@ def analyze_trace(
         breakdown_rows,
     )
     return stats
-
-
-# --- check-count model presets ------------------------------------------------
-
-
-def check_model_presets() -> dict[str, CheckModel]:
-    """Hand-built flow distributions whose analytic failure bound is small
-    enough to test the check-count guarantee empirically."""
-    two_flows = CheckModel(
-        flow_probs=(0.5, 0.5),
-        flow_prefix=(0, 1),
-        prefix_bucket=(0, 0),
-        bucket=0,
-        target_prefix=0,
-        p_min=0.4,
-        packets_per_check=8,
-        stream_length=8_000,
-        epsilon=0.5,
-        delta=0.5,
-    )
-    uniform_fifty = CheckModel(
-        flow_probs=(0.02,) * 50,
-        flow_prefix=(0,) * 10 + tuple(range(1, 41)),
-        prefix_bucket=(0,) * 41,
-        bucket=0,
-        target_prefix=0,
-        p_min=0.01,
-        packets_per_check=8,
-        stream_length=24_000,
-        epsilon=0.6,
-        delta=0.6,
-    )
-    one_heavy = CheckModel(
-        flow_probs=(0.5,) + (0.025,) * 20,
-        flow_prefix=(0,) + tuple(1 + (i // 5) for i in range(20)),
-        prefix_bucket=(0,) * 5,
-        bucket=0,
-        target_prefix=1,
-        p_min=0.01,
-        packets_per_check=8,
-        stream_length=20_000,
-        epsilon=0.6,
-        delta=0.5,
-    )
-    return {
-        "two-equal-flows": two_flows,
-        "uniform-fifty": uniform_fifty,
-        "one-heavy": one_heavy,
-    }

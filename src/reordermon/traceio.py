@@ -83,16 +83,6 @@ class PacketArrays:
     def duration_seconds(self) -> float:
         return float(self.ts[-1] - self.ts[0]) if len(self) >= 2 else 0.0
 
-    def meta(self) -> TraceMeta:
-        """Counts over the flows that have packets."""
-        flows = np.unique(self.flow_id)
-        return TraceMeta(
-            packet_count=len(self),
-            flow_count=int(flows.size),
-            prefix_count=int(np.unique(self.flow_prefix_bits[flows]).size),
-            duration_seconds=self.duration_seconds,
-        )
-
     @classmethod
     def from_records(cls, records: Iterable[PacketRecord]) -> "PacketArrays":
         flow_index: dict[FlowId, int] = {}
@@ -194,15 +184,29 @@ def parse_trace(source: Source) -> tuple[PacketArrays, TraceMeta]:
 
 
 def flow_table_meta(arrays: PacketArrays) -> TraceMeta:
-    """``arrays.meta()`` from the flow tables, without a pass over the
-    packets; equal to it when every flow has a packet, as in a parsed or a
+    """The trace's packet, flow and prefix counts and its duration, from the
+    flow tables, without a pass over the packets.  The counts are those of
+    the flows with packets when every flow has one, as in a parsed or a
     generated trace."""
     return TraceMeta(
         packet_count=len(arrays),
         flow_count=arrays.flow_count,
-        prefix_count=int(np.unique(arrays.flow_prefix_bits).size),
+        prefix_count=int(_distinct(arrays.flow_prefix_bits).size),
         duration_seconds=arrays.duration_seconds,
     )
+
+
+def _distinct(values: np.ndarray) -> np.ndarray:
+    """``np.unique(values)`` of a 1-D array without NaN.  A bare
+    ``np.unique`` imports ``numpy.ma`` (12-21 ms on a cold start) to rule
+    out a masked array.  Its ``return_inverse`` form skips that import too,
+    but on the 4.7M address keys of a parse it peaks at 184 MiB against
+    76 MiB for this sort."""
+    ordered = np.sort(values)
+    first = np.empty(ordered.size, dtype=bool)
+    first[:1] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
+    return ordered[first]
 
 
 def _parse_lines(handle: IO[str]) -> PacketArrays:
@@ -328,7 +332,7 @@ def _canonical_columns(data: bytes) -> Optional[tuple[np.ndarray, ...]]:
     # each distinct address is parsed once, kept row or not
     addresses = []
     for keys in (src_key, dst_key):
-        distinct = np.unique(keys)
+        distinct = _distinct(keys)
         try:
             table = np.array([ip_to_int(ip) for ip in _ip_strings(distinct)], dtype=np.int64)
         except ValueError:
@@ -563,11 +567,19 @@ class SynthConfig:
         for name in ("flows_per_prefix_zipf_exponent", "flow_size_zipf_exponent"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite")
-        if not 0.0 <= self.noisy_flow_fraction <= 1.0:
-            raise ValueError("noisy_flow_fraction must lie in [0, 1]")
-        for name in ("max_flows_per_prefix", "max_flow_size"):
+        # each range test is written so that NaN fails it too
+        for name in ("noisy_flow_fraction", "noisy_episode_prob", "stall_fraction"):
+            if not 0.0 <= getattr(self, name) <= 1.0:
+                raise ValueError(f"{name} must lie in [0, 1]")
+        for name in ("max_flows_per_prefix", "noisy_episode_len"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
+        if self.max_flow_size < 2:  # flow sizes are clipped to [2, max_flow_size]
+            raise ValueError("max_flow_size must be >= 2")
+        if not 0.0 <= self.mean_burst_len < math.inf:
+            raise ValueError("mean_burst_len must be finite and >= 0")
+        if not 0.0 < self.intra_burst_gap < math.inf:
+            raise ValueError("intra_burst_gap must be finite and positive")
 
 
 def _bounded_zipf(rng: np.random.Generator, exponent: float, kmax: int, size: int) -> np.ndarray:

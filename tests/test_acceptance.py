@@ -13,10 +13,10 @@ from pathlib import Path
 
 import pytest
 
-from reordermon.checkmodel import empirical_guarantee
+from reordermon.checkmodel import check_model_presets, empirical_guarantee
 from reordermon.cli import main as cli_main
 from reordermon.controlplane import AggregatorMode
-from reordermon.harness import ExperimentSpec, check_model_presets, run_experiment
+from reordermon.harness import ExperimentSpec, run_experiment
 from reordermon.heavyhitter import HHParams, ReorderHeavyHitter
 from reordermon.hybrid import HybridDetector, HybridParams
 from reordermon.model import Prefix, ReorderDef

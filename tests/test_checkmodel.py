@@ -8,11 +8,11 @@ from hypothesis import example, given, settings, strategies as st
 
 from reordermon.checkmodel import (
     CheckModel,
+    check_model_presets,
     empirical_guarantee,
     simulate_check_counts,
     simulate_flow_checks,
 )
-from reordermon.harness import check_model_presets
 
 
 def single_flow_model(stream_length: int = 1000, c: int = 8) -> CheckModel:

@@ -7,11 +7,11 @@ import pytest
 from reordermon.controlplane import AggregatorMode
 from reordermon.harness import (
     AnalysisParams,
-    DETECTORS,
     ExperimentSpec,
     RESULT_COLUMNS,
     analyze_trace,
     collect_reports,
+    detector_class,
     detector_params,
     grid_search_hybrid,
     result_rows,
@@ -166,7 +166,7 @@ def test_collect_reports_paths_agree_for_array(small_workload: PacketArrays) -> 
                 min_report_packets=4,
             )
             fast = collect_reports(small_workload, spec, 16, x, 4)
-            ref = DETECTORS[algo](detector_params(spec, 16, x, 4))
+            ref = detector_class(algo)(detector_params(spec, 16, x, 4))
             slow = [
                 rep
                 for pkt in small_workload.iter_records()

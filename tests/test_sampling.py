@@ -1,11 +1,12 @@
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from reordermon.hashing import bucket_index
 from reordermon.model import FlowId, PacketRecord, Prefix, ReorderDef, prefix_of
 from reordermon.reports import Report, ReportSource
-from reordermon.sampling import FlowSamplingArray, SamplerParams
+from reordermon.sampling import FlowSamplingArray, SamplerParams, _bucket_order
 from reordermon.traceio import PacketArrays, SynthConfig, generate_synthetic_arrays
 
 from conftest import random_trace, stats_tables
@@ -373,3 +374,19 @@ def test_fast_path_equivalence_property(
     fast = FlowSamplingArray(params)
     assert fast.process_trace(arrays) == ref_evictions
     assert fast.flush() == ref.flush()
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    n_buckets=st.sampled_from([1, 256, 257, 65_536, 65_537]),
+    seed=st.integers(0, 2**32 - 1),
+    size=st.integers(1, 3000),
+)
+def test_bucket_order_matches_int64_stable_argsort(n_buckets: int, seed: int, size: int) -> None:
+    """The narrowed sort keeps the int64 stable order, at each width edge."""
+    rng = np.random.default_rng(seed)
+    # few distinct ids, so that ties (where stability shows) are common
+    ids = rng.choice(
+        np.unique(np.r_[0, n_buckets - 1, rng.integers(0, n_buckets, 8)]), size
+    ).astype(np.int64)
+    assert np.array_equal(_bucket_order(ids, n_buckets), np.argsort(ids, kind="stable"))

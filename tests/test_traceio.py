@@ -18,7 +18,9 @@ from reordermon.traceio import (
     SynthConfig,
     TRACE_HEADER,
     TraceFormatError,
+    TraceMeta,
     filter_server_to_client,
+    flow_table_meta,
     generate_synthetic_arrays,
     parse_trace,
     write_sidecar,
@@ -36,6 +38,18 @@ def trace_text(records: list[PacketRecord]) -> str:
     buf = io.StringIO()
     write_trace_csv(PacketArrays.from_records(records), buf)
     return buf.getvalue()
+
+
+def packet_meta(arrays: PacketArrays) -> TraceMeta:
+    """The reference ``flow_table_meta`` is held to: the counts over the
+    flows that have packets, from a pass over the packets."""
+    flows = np.unique(arrays.flow_id)
+    return TraceMeta(
+        packet_count=len(arrays),
+        flow_count=int(flows.size),
+        prefix_count=int(np.unique(arrays.flow_prefix_bits[flows]).size),
+        duration_seconds=arrays.duration_seconds,
+    )
 
 
 def test_empty_trace_parses_to_zero_meta() -> None:
@@ -331,6 +345,7 @@ def test_generator_is_deterministic() -> None:
     cfg = SynthConfig(n_prefixes=32, seed=11, duration_seconds=1.0)
     a, inj_a = generate_synthetic_arrays(cfg)
     b, inj_b = generate_synthetic_arrays(cfg)
+    assert flow_table_meta(a) == packet_meta(a)  # every generated flow has packets
     assert np.array_equal(a.ts, b.ts)
     assert np.array_equal(a.seq, b.seq)
     assert np.array_equal(a.flow_id, b.flow_id)
@@ -400,10 +415,27 @@ def test_invalid_configs_rejected() -> None:
         ("noisy_flow_fraction", math.nan),
         ("max_flows_per_prefix", 0),
         ("max_flow_size", 0),
+        ("max_flow_size", 1),
+        ("noisy_episode_len", 0),
+        ("noisy_episode_prob", 1.5),
+        ("noisy_episode_prob", math.nan),
+        ("stall_fraction", -0.1),
+        ("stall_fraction", math.nan),
+        ("mean_burst_len", -5),
+        ("mean_burst_len", math.nan),
+        ("mean_burst_len", math.inf),
+        ("intra_burst_gap", math.nan),
+        ("intra_burst_gap", math.inf),
+        ("intra_burst_gap", 0.0),
+        ("intra_burst_gap", -8e-6),
     ):
         with pytest.raises(ValueError):
             dataclasses.replace(SynthConfig(n_prefixes=4), **{field: value}).validate()
     SynthConfig(n_prefixes=2**16, noisy_flow_fraction=1.0, flow_size_zipf_exponent=-1.0).validate()
+    SynthConfig(
+        n_prefixes=4, max_flow_size=2, mean_burst_len=0, noisy_episode_len=1,
+        noisy_episode_prob=1.0, stall_fraction=0.0,
+    ).validate()
 
 
 def test_port_out_of_range_rejected() -> None:
@@ -517,14 +549,14 @@ def _outcome(parse):
         arrays, meta = parse()
     except TraceFormatError as exc:
         return str(exc)
-    assert meta == arrays.meta()
+    assert meta == packet_meta(arrays)
     return _columns(arrays), meta
 
 
 def _reference(handle):
     """The line reader alone, as parse_trace read every trace before."""
     arrays = traceio._parse_lines(handle)
-    return arrays, arrays.meta()
+    return arrays, packet_meta(arrays)
 
 
 def _check_against_reference(text: str, path) -> None:
@@ -570,7 +602,7 @@ def _expect_fast(data: bytes, tmp_path) -> PacketArrays:
         for source in (path, io.StringIO(data.decode("ascii"))):
             arrays, meta = parse_trace(source)
             assert _columns(arrays) == _columns(expected[0])
-            assert meta == expected[1] == arrays.meta()
+            assert meta == expected[1] == packet_meta(arrays)
     return arrays
 
 
@@ -607,7 +639,8 @@ def test_fast_path_flow_with_only_zero_payload_gets_no_id(tmp_path) -> None:
     arrays = _expect_fast(f"{TRACE_HEADER}\n{rows}".encode(), tmp_path)
     assert arrays.flow_id.tolist() == [0, 1, 0]
     assert arrays.flow_src_ip.tolist() == [0x0A000001, 0x0A000002]
-    assert (arrays.meta().flow_count, arrays.meta().prefix_count) == (2, 1)
+    meta = packet_meta(arrays)
+    assert (meta.flow_count, meta.prefix_count) == (2, 1)
 
 
 def test_crlf_file_reads_as_lf_and_crlf_text_is_refused(tmp_path) -> None:
