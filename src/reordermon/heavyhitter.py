@@ -14,12 +14,13 @@ entry and at the end-of-interval flush (sources tag which).
 
 ``process_packet`` is the reference implementation, instrumented so tests
 can verify the access budget.  ``process_trace`` is the batch twin for
-whole traces; it does not meter.  It relies on a resident entry seeing
-every packet of its flow after admission, so each packet's out-of-order
-flag against its flow predecessor is computed up front for the whole
-trace, and the table loop only moves plain integers and makes the same
-admission draws.  The two paths produce identical report streams and
-leave identical tables; the test suite holds them to that.
+whole traces; it does not meter.  Like the sampling array's batch path,
+it relies on a resident entry seeing every packet of its flow after
+admission, so each packet's out-of-order flag against its flow predecessor
+is read up front for the whole trace from ``traceio.flow_steps``, and the
+table loop only moves plain integers and makes the same admission draws.
+The two paths produce identical report streams and leave identical
+tables; the test suite holds them to that.
 """
 
 from __future__ import annotations
@@ -45,7 +46,7 @@ from .model import (
     prefix_of,
 )
 from .reports import Report, ReportSource
-from .traceio import PacketArrays
+from .traceio import PacketArrays, flow_steps
 
 
 @dataclass(frozen=True)
@@ -201,17 +202,8 @@ class ReorderHeavyHitter:
         # packets grouped by flow, time order kept: an entry's n packets after
         # its admission packet at position a are positions a+1 .. a+n
         fid = arrays.flow_id
-        order = np.argsort(fid, kind="stable")
-        gflow = fid[order]
-        gseq = arrays.seq[order]
-        gexp = gseq + arrays.payload_len[order]
-        same_flow = gflow[1:] == gflow[:-1]
-        flag = np.zeros(n_pkts, dtype=bool)
-        if p.reorder_def is ReorderDef.DEF2_GAP:
-            flag[1:] = (gseq[1:] > gexp[:-1]) & same_flow
-        else:
-            flag[1:] = (gseq[1:] < gseq[:-1]) & same_flow
-        cum = np.cumsum(flag)
+        order, step = flow_steps(arrays)
+        cum = np.cumsum(step == p.reorder_def.value)
         position = np.empty(n_pkts, dtype=np.int64)
         position[order] = np.arange(n_pkts)
 
@@ -277,12 +269,13 @@ class ReorderHeavyHitter:
                 continue
             n = count[k] - base[k]
             a = position[admitted_at[k]]
-            last = a + n
+            last = int(order[a + n])
+            seq = int(arrays.seq[last])
             self._stages[k // n_buckets][k % n_buckets] = HHEntry(
                 arrays.flow(g),
                 count[k],
-                SeqState(int(gseq[last]), int(gexp[last])),
+                SeqState(seq, seq + int(arrays.payload_len[last])),
                 n,
-                int(cum[last] - cum[a]),
+                int(cum[a + n] - cum[a]),
             )
         return pending, filtered

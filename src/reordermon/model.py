@@ -1,16 +1,17 @@
 """Core packet/flow/prefix types and the out-of-order predicate.
 
-All detectors and the ground-truth tracker share these definitions, so the
-notion of "out of order" is decided in exactly one place.  Sequence numbers
-are compared as plain unsigned integers; TCP sequence rollover is a
-documented non-goal.
+Every packet is judged against its flow predecessor under DEF1 or DEF2, in
+one of two forms: ``is_out_of_order`` is the per-packet test the reference
+detectors apply, and ``traceio.flow_steps`` is the columnar one the oracle
+and the batch detector paths read.  A property test holds the two equal.
+Sequence numbers are compared as plain unsigned integers; TCP sequence
+rollover is a documented non-goal.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional
 
 
 class ReorderDef(Enum):
@@ -19,7 +20,7 @@ class ReorderDef(Enum):
     DEF1_DECREASE: sequence number lower than its predecessor's.
     DEF2_GAP:      sequence number past the one expected from its predecessor.
     DEF3_BELOW_MAX: sequence number below the flow's running maximum.
-                    Only the offline tracker supports this one; the online
+                    Only the offline oracle counts this one; the online
                     detectors reject it at construction.
     """
 
@@ -70,15 +71,10 @@ class PacketRecord:
 
 @dataclass(slots=True)
 class SeqState:
-    """Per-flow sequence state after the most recent packet.
-
-    ``max_seq`` is maintained only where DEF3 is needed (the offline
-    tracker); detectors leave it as None.
-    """
+    """Per-flow sequence state after the most recent packet."""
 
     last_seq: int
     expected_next: int
-    max_seq: Optional[int] = None
 
 
 def ip_to_int(dotted: str) -> int:
@@ -105,35 +101,27 @@ def prefix_of(flow: FlowId) -> Prefix:
     return Prefix(flow.src_ip & PREFIX_MASK)
 
 
-def initial_state(pkt: PacketRecord, track_max: bool = False) -> SeqState:
+def initial_state(pkt: PacketRecord) -> SeqState:
     """Sequence state right after observing ``pkt`` as the flow's first packet."""
-    return SeqState(
-        last_seq=pkt.seq,
-        expected_next=pkt.seq + pkt.payload_len,
-        max_seq=pkt.seq if track_max else None,
-    )
+    return SeqState(last_seq=pkt.seq, expected_next=pkt.seq + pkt.payload_len)
 
 
 def advance_state(state: SeqState, pkt: PacketRecord) -> None:
     """Update ``state`` in place to reflect ``pkt`` as the newest packet."""
     state.last_seq = pkt.seq
     state.expected_next = pkt.seq + pkt.payload_len
-    if state.max_seq is not None and pkt.seq > state.max_seq:
-        state.max_seq = pkt.seq
 
 
 def is_out_of_order(state: SeqState, pkt: PacketRecord, def_: ReorderDef) -> bool:
     """Whether ``pkt`` is out of order given the state of its predecessor.
 
     Pure function; ``state`` must reflect the immediately preceding packet
-    of the same flow (and, for DEF3, the maximum over all prior packets).
-    """
+    of the same flow.  DEF3 needs the flow's whole history, so only the
+    offline oracle counts it."""
     if def_ is ReorderDef.DEF1_DECREASE:
         return pkt.seq < state.last_seq
     if def_ is ReorderDef.DEF2_GAP:
         return pkt.seq > state.expected_next
     if def_ is ReorderDef.DEF3_BELOW_MAX:
-        if state.max_seq is None:
-            raise ValueError("DEF3 requires max_seq to be tracked in SeqState")
-        return pkt.seq < state.max_seq
+        raise ValueError("DEF3 is offline-only: the oracle counts it, not this test")
     raise ValueError(f"unknown reorder definition: {def_!r}")

@@ -15,7 +15,7 @@ from typing import Sequence
 import numpy as np
 
 from .model import Prefix, ReorderDef
-from .traceio import PacketArrays
+from .traceio import PacketArrays, flow_steps
 
 
 class UndefinedCorrelationError(ValueError):
@@ -49,49 +49,40 @@ class GroundTruth:
     small_exempt_set: frozenset[Prefix]
 
 
-def _flow_order(arrays: PacketArrays) -> tuple[np.ndarray, np.ndarray]:
-    """Packet positions sorted stably by flow id, and, for every sorted
-    packet after the first, whether the packet before it is of its flow."""
-    order = np.argsort(arrays.flow_id, kind="stable")
-    fid = arrays.flow_id[order]
-    return order, fid[1:] == fid[:-1]
-
-
 def compute_stats(arrays: PacketArrays) -> TraceStats:
     """Exact counters for DEF1/DEF2/DEF3 from one stable sort by flow.
 
-    Each packet is compared with its flow predecessor (DEF1: seq below the
-    previous seq; DEF2: seq beyond the previous seq + payload) and with the
-    running maximum of its flow's earlier seqs (DEF3).  Flows without
-    packets have no row."""
+    DEF1 and DEF2 come from ``flow_steps``; DEF3 compares each packet with
+    the running maximum of its flow's earlier seqs.  Flows without packets
+    have no row."""
     if len(arrays) == 0:
         none = np.zeros(0, dtype=np.int64)
         table = np.zeros((0, 3), dtype=np.int64)
         return TraceStats(none, none, table, none, none, none, table, none, 0)
-    order, same = _flow_order(arrays)
+    order, step = flow_steps(arrays)
     fid = arrays.flow_id[order]
     seq = arrays.seq[order]
-    end = seq + arrays.payload_len[order]
+    first = step < 0
     # segmented running maximum: each flow's keys lie above every earlier
     # flow's, so one cumulative maximum restarts at each flow
     low = int(seq.min())
     span = int(seq.max()) - low + 1
-    rank = np.concatenate(([0], np.cumsum(~same)))
+    rank = np.cumsum(first) - 1
     if span * (int(rank[-1]) + 1) >= 1 << 63:
         raise ValueError("seq values span too wide a range")
     keys = rank * span + (seq - low)
-    running = np.maximum.accumulate(keys)
+    below_max = np.zeros(len(order), dtype=bool)
+    below_max[1:] = keys[1:] < np.maximum.accumulate(keys)[:-1]
 
     n_ids = arrays.flow_count
-    later = fid[1:]
     # the flows that have packets, in the order of their first packet
-    starts = np.flatnonzero(np.concatenate(([True], ~same)))
+    starts = np.flatnonzero(first)
     present = fid[starts][np.argsort(order[starts])]
     flow_n = np.bincount(fid, minlength=n_ids)[present]
     flow_ooo = np.stack(
         [
-            np.bincount(later[same & outcome], minlength=n_ids)[present]
-            for outcome in (seq[1:] < seq[:-1], seq[1:] > end[:-1], keys[1:] < running[:-1])
+            np.bincount(fid[outcome], minlength=n_ids)[present]
+            for outcome in (step == 1, step == 2, below_max)
         ],
         axis=1,
     )
@@ -266,18 +257,15 @@ def interarrival_histogram(arrays: PacketArrays) -> InterarrivalHistogram:
     gap to its same-flow predecessor.  DEF1 and DEF2 are mutually exclusive
     per packet pair, so the three distributions partition the packets."""
     hist = InterarrivalHistogram(GapDistribution(), GapDistribution(), GapDistribution())
-    order, same = _flow_order(arrays)
-    seq = arrays.seq[order]
-    end = seq + arrays.payload_len[order]
+    order, step = flow_steps(arrays)
     ts = arrays.ts[order]
-    cls_sorted = np.where(seq[1:] < seq[:-1], 1, np.where(seq[1:] > end[:-1], 2, 0))
-    # per packet in trace order: its gap and class (0 in order, 1 DEF1,
-    # 2 DEF2, -1 for the first packet of a flow)
-    later = order[1:][same]
+    # per packet in trace order: its class (the step: 0 in order, 1 DEF1,
+    # 2 DEF2, -1 for the first packet of a flow) and the gap to the packet
+    # sorted before it, which is its flow predecessor unless the class is -1
+    cls = np.empty_like(step)
+    cls[order] = step
     gaps = np.zeros(len(arrays))
-    gaps[later] = (ts[1:] - ts[:-1])[same]
-    cls = np.full(len(arrays), -1)
-    cls[later] = cls_sorted[same]
+    gaps[order[1:]] = ts[1:] - ts[:-1]
     for k, dist in enumerate((hist.in_order, hist.def1_ooo, hist.def2_ooo)):
         _fill(dist, gaps[cls == k])
     return hist

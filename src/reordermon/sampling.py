@@ -12,8 +12,12 @@ read-modify-write, instrumented so tests can verify the access budget.
 ``process_trace`` is the batch twin for multi-million packet traces; it
 exploits that eviction checks can only fire when the arriving flow differs
 from the resident one, so stretches of same-flow packets collapse into
-precomputed per-run updates.  The two paths produce identical report
-streams and the test suite holds them to that.
+precomputed per-run updates.  Like the heavy-hitter table's batch path, it
+relies on a resident record seeing every packet of its flow after
+admission, so each packet's out-of-order flag against its flow predecessor
+(``traceio.flow_steps``) is the flag the resident would compute.  The two
+paths produce identical report streams and leave identical buckets; the
+test suite holds them to that.
 """
 
 from __future__ import annotations
@@ -38,16 +42,7 @@ from .model import (
     prefix_of,
 )
 from .reports import Report, ReportSource
-from .traceio import PacketArrays
-
-
-def _bucket_order(bucket_ids: np.ndarray, n_buckets: int) -> np.ndarray:
-    """The stable argsort of ``bucket_ids`` (each in [0, n_buckets)):
-    bucket-major, packet order kept within a bucket.  The ids are sorted in
-    the narrowest unsigned type that holds them, because numpy radix-sorts
-    integers of 16 bits or fewer: for 60,000 ids in 256 buckets that takes
-    0.5 ms instead of 4 ms as int64, with the same order."""
-    return np.argsort(bucket_ids.astype(np.min_scalar_type(n_buckets - 1)), kind="stable")
+from .traceio import PacketArrays, flow_steps, group_order
 
 
 @dataclass(frozen=True)
@@ -190,17 +185,20 @@ class FlowSamplingArray:
             return []
 
         fid = arrays.flow_id
-        is_def2 = p.reorder_def is ReorderDef.DEF2_GAP
         bucket_per_flow = bucket_index_array(
             arrays.flow_prefix_bits, p.hash_seed, p.n_buckets
         )
         bid = bucket_per_flow[fid]
-        order = _bucket_order(bid, p.n_buckets)
+        order = group_order(bid, p.n_buckets)
         gflow = fid[order]
         gbid = bid[order]
-        gseq = arrays.seq[order]
         gts = arrays.ts[order]
-        gexp = gseq + arrays.payload_len[order]
+        # each packet's flag against its flow predecessor, in bucket order
+        by_flow, step = flow_steps(arrays)
+        flag = np.zeros(n_pkts, dtype=bool)
+        flag[by_flow] = step == p.reorder_def.value
+        flag = flag[order]
+        cum = np.cumsum(flag)
 
         # a flow maps to exactly one bucket, so flow changes delimit both
         # runs and bucket segments
@@ -210,13 +208,6 @@ class FlowSamplingArray:
         run_start = np.flatnonzero(change)
         run_end = np.append(run_start[1:], n_pkts)
 
-        flag = np.zeros(n_pkts, dtype=bool)
-        if is_def2:
-            flag[1:] = (gseq[1:] > gexp[:-1]) & ~change[1:]
-        else:
-            flag[1:] = (gseq[1:] < gseq[:-1]) & ~change[1:]
-        cum = np.cumsum(flag)
-
         r_flow = gflow[run_start].tolist()
         r_bucket = gbid[run_start].tolist()
         r_start = run_start.tolist()
@@ -224,17 +215,13 @@ class FlowSamplingArray:
         r_len = (run_end - run_start).tolist()
         r_first_ts = gts[run_start].tolist()
         r_last_ts = gts[run_end - 1].tolist()
-        r_first_seq = gseq[run_start].tolist()
-        r_last_seq = gseq[run_end - 1].tolist()
-        r_last_exp = gexp[run_end - 1].tolist()
+        r_first_ooo = flag[run_start].tolist()
         r_inner = (cum[run_end - 1] - cum[run_start]).tolist()
 
         bits_list = arrays.flow_prefix_bits.tolist()
         num_b = p.n_buckets
         b_flow = [-1] * num_b
-        b_seq = [0] * num_b
-        b_exp = [0] * num_b
-        b_ts = [0.0] * num_b
+        b_run = [0] * num_b  # the resident's latest run
         b_n = [0] * num_b
         b_o = [0] * num_b
 
@@ -250,15 +237,13 @@ class FlowSamplingArray:
             f = r_flow[r]
             res = b_flow[b]
             if res == f:
-                if is_def2:
-                    first_ooo = r_first_seq[r] > b_exp[b]
-                else:
-                    first_ooo = r_first_seq[r] < b_seq[b]
-                b_o[b] += r_inner[r] + first_ooo
+                # the resident has seen every packet of its flow since
+                # admission, so its last packet is the run's flow predecessor
+                b_o[b] += r_inner[r] + r_first_ooo[r]
                 b_n[b] += r_len[r]
             elif res >= 0:
                 o_res = b_o[b]
-                limit = b_ts[b] + T
+                limit = r_last_ts[b_run[b]] + T
                 if o_res > R or b_n[b] > C or r_first_ts[r] > limit:
                     evict_at = r_start[r]
                 elif r_last_ts[r] > limit:
@@ -286,18 +271,18 @@ class FlowSamplingArray:
                 b_flow[b] = f
                 b_n[b] = r_len[r] - 1
                 b_o[b] = r_inner[r]
-            b_seq[b] = r_last_seq[r]
-            b_exp[b] = r_last_exp[r]
-            b_ts[b] = r_last_ts[r]
+            b_run[b] = r
 
         for b in range(num_b):
             f = b_flow[b]
             if f < 0:
                 continue
+            last = int(order[r_end[b_run[b]] - 1])
+            seq = int(arrays.seq[last])
             self._buckets[b] = BucketRecord(
                 arrays.flow(f),
-                SeqState(b_seq[b], b_exp[b]),
-                b_ts[b],
+                SeqState(seq, seq + int(arrays.payload_len[last])),
+                r_last_ts[b_run[b]],
                 b_n[b],
                 b_o[b],
             )

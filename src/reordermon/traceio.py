@@ -3,15 +3,17 @@ trace generator.
 
 The canonical on-disk format is a text CSV (header
 ``ts,src_ip,dst_ip,src_port,dst_port,seq,payload_len``) so fixtures stay
-reviewable; raw capture formats are out of scope.  Ingestion applies the
-standard preprocessing: zero-payload rows are dropped (sequence numbers
-cannot advance without payload) and ``filter_server_to_client`` keeps the
+reviewable; raw capture formats are out of scope.  Ingestion drops
+zero-payload rows (sequence numbers cannot advance without payload);
+``filter_server_to_client`` is a separate step that keeps the
 server-to-client direction using a port heuristic.
 
 ``PacketArrays`` is the one trace representation: ingestion, the generator,
 the oracle and the batch detector path all work on its columns, so
 multi-million packet traces stay cheap.  ``PacketArrays.iter_records``
-gives the per-packet view the reference detectors consume.
+gives the per-packet view the reference detectors consume, and
+``flow_steps`` the columnar out-of-order test the oracle and the batch
+paths read.
 """
 
 from __future__ import annotations
@@ -129,6 +131,36 @@ class PacketArrays:
             self.ts.tolist(),
         ):
             yield PacketRecord(flows[fid], seq, length, ts)
+
+
+def group_order(ids: np.ndarray, n_ids: int) -> np.ndarray:
+    """The stable argsort of ``ids`` (each in [0, n_ids)): grouped by id,
+    packet order kept within a group.  The ids are sorted in the narrowest
+    unsigned type that holds them, because numpy radix-sorts integers of 16
+    bits or fewer: for 60,000 ids in 256 groups that takes 0.5 ms instead
+    of 4 ms as int64, with the same order."""
+    return np.argsort(ids.astype(np.min_scalar_type(max(n_ids - 1, 0))), kind="stable")
+
+
+def flow_steps(arrays: PacketArrays) -> tuple[np.ndarray, np.ndarray]:
+    """Every packet compared with its flow predecessor, in one pass.
+
+    ``order`` is the packet order sorted stably by flow.  ``step`` holds,
+    per sorted packet, -1 for the first packet of its flow, else the
+    ``ReorderDef`` value of the definition it breaks against the packet
+    before it in its flow (1: seq below the previous seq; 2: seq beyond
+    the previous seq + payload_len), else 0.  The two exclude each other
+    because payload_len is never negative."""
+    order = group_order(arrays.flow_id, arrays.flow_count)
+    fid = arrays.flow_id[order]
+    seq = arrays.seq[order]
+    step = np.zeros(len(order), dtype=np.int8)
+    later = step[1:]
+    later[seq[1:] > seq[:-1] + arrays.payload_len[order[:-1]]] = 2
+    later[seq[1:] < seq[:-1]] = 1
+    later[fid[1:] != fid[:-1]] = -1
+    step[:1] = -1
+    return order, step
 
 
 Source = Union[str, Path, IO[str]]

@@ -299,7 +299,7 @@ def assert_batch_matches_reference(records, p: HHParams) -> list[Report]:
     fast = ReorderHeavyHitter(p)
     assert fast.process_trace(PacketArrays.from_records(records)) == ref_evictions
     assert fast.packets_processed == ref.packets_processed
-    assert dump_table(fast) == dump_table(ref)
+    assert fast._stages == ref._stages
     assert fast.flush() == ref.flush()
     return ref_evictions
 

@@ -69,51 +69,31 @@ def test_def2_gap_exact_expected_is_in_order() -> None:
     assert is_out_of_order(state, packet(1200), DEF2)
 
 
-def test_def3_below_running_max() -> None:
-    state = SeqState(last_seq=4900, expected_next=5000, max_seq=5000)
-    assert is_out_of_order(state, packet(4000), DEF3)
-    assert not is_out_of_order(state, packet(5000), DEF3)
-
-
-def test_def3_requires_tracked_max() -> None:
-    state = SeqState(last_seq=1000, expected_next=1100, max_seq=None)
-    with pytest.raises(ValueError):
+def test_def3_is_offline_only() -> None:
+    state = SeqState(last_seq=1000, expected_next=1100)
+    with pytest.raises(ValueError, match="offline"):
         is_out_of_order(state, packet(900), DEF3)
 
 
 def test_initial_and_advance_state() -> None:
     first = packet(1000, payload=50)
-    state = initial_state(first, track_max=True)
-    assert state.last_seq == 1000 and state.expected_next == 1050 and state.max_seq == 1000
+    state = initial_state(first)
+    assert state.last_seq == 1000 and state.expected_next == 1050
     advance_state(state, packet(1050, payload=10))
-    assert state.last_seq == 1050 and state.expected_next == 1060 and state.max_seq == 1050
+    assert state.last_seq == 1050 and state.expected_next == 1060
     advance_state(state, packet(900, payload=10))
-    assert state.max_seq == 1050  # running max never decreases
-
-
-@given(
-    seqs=st.lists(st.integers(0, 10_000), min_size=2, max_size=40),
-    payloads=st.lists(st.integers(1, 1500), min_size=40, max_size=40),
-)
-def test_decrease_implies_below_max(seqs: list[int], payloads: list[int]) -> None:
-    state = initial_state(packet(seqs[0], payloads[0]), track_max=True)
-    for seq, payload in zip(seqs[1:], payloads[1:]):
-        pkt = packet(seq, payload)
-        if is_out_of_order(state, pkt, DEF1):
-            assert is_out_of_order(state, pkt, DEF3)
-        advance_state(state, pkt)
+    assert state.last_seq == 900 and state.expected_next == 910
 
 
 @given(start=st.integers(0, 1 << 20), payloads=st.lists(st.integers(1, 1500), min_size=2, max_size=40))
 def test_perfectly_in_order_stream_has_no_events(start: int, payloads: list[int]) -> None:
     seq = start
-    state = initial_state(packet(seq, payloads[0]), track_max=True)
+    state = initial_state(packet(seq, payloads[0]))
     seq += payloads[0]
     for payload in payloads[1:]:
         pkt = packet(seq, payload)
         assert not is_out_of_order(state, pkt, DEF1)
         assert not is_out_of_order(state, pkt, DEF2)
-        assert not is_out_of_order(state, pkt, DEF3)
         advance_state(state, pkt)
         seq += payload
 

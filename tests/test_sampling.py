@@ -6,8 +6,8 @@ import pytest
 from reordermon.hashing import bucket_index
 from reordermon.model import FlowId, PacketRecord, Prefix, ReorderDef, prefix_of
 from reordermon.reports import Report, ReportSource
-from reordermon.sampling import FlowSamplingArray, SamplerParams, _bucket_order
-from reordermon.traceio import PacketArrays, SynthConfig, generate_synthetic_arrays
+from reordermon.sampling import FlowSamplingArray, SamplerParams
+from reordermon.traceio import PacketArrays, SynthConfig, generate_synthetic_arrays, group_order
 
 from conftest import random_trace, stats_tables
 
@@ -49,6 +49,18 @@ def run_reference(records, params: SamplerParams):
         if report is not None:
             evictions.append(report)
     return det, evictions
+
+
+def assert_batch_matches_reference(records, arrays: PacketArrays, params: SamplerParams):
+    """The batch path emits the reference's reports in its order and leaves
+    the same buckets, so ``flush`` agrees too."""
+    ref, ref_evictions = run_reference(records, params)
+    fast = FlowSamplingArray(params)
+    assert fast.process_trace(arrays) == ref_evictions
+    assert fast.packets_processed == ref.packets_processed
+    assert fast._buckets == ref._buckets
+    assert fast.flush() == ref.flush()
+    return ref_evictions
 
 
 def test_empty_bucket_always_admits() -> None:
@@ -289,12 +301,7 @@ def test_fast_path_matches_reference_on_random_traces(def_: ReorderDef, report_a
                 report_all=report_all,
                 hash_seed=seed + 11,
             )
-            ref, ref_evictions = run_reference(records, params)
-            fast = FlowSamplingArray(params)
-            fast_evictions = fast.process_trace(arrays)
-            assert fast_evictions == ref_evictions
-            assert fast.flush() == ref.flush()
-            for rep in ref_evictions:
+            for rep in assert_batch_matches_reference(records, arrays, params):
                 assert 1 <= rep.n and rep.o <= rep.n
 
 
@@ -303,11 +310,7 @@ def test_fast_path_matches_reference_on_synthetic() -> None:
         SynthConfig(n_prefixes=96, seed=31, duration_seconds=1.5, bad_prefix_fraction=0.3)
     )
     records = list(arrays.iter_records())
-    params = SamplerParams(n_buckets=8, hash_seed=2)
-    ref, ref_evictions = run_reference(records, params)
-    fast = FlowSamplingArray(params)
-    assert fast.process_trace(arrays) == ref_evictions
-    assert fast.flush() == ref.flush()
+    assert_batch_matches_reference(records, arrays, SamplerParams(n_buckets=8, hash_seed=2))
 
 
 def test_fast_path_requires_fresh_instance() -> None:
@@ -370,10 +373,7 @@ def test_fast_path_equivalence_property(
         report_all=report_all,
         hash_seed=trace_seed ^ 0x5A5A,
     )
-    ref, ref_evictions = run_reference(records, params)
-    fast = FlowSamplingArray(params)
-    assert fast.process_trace(arrays) == ref_evictions
-    assert fast.flush() == ref.flush()
+    assert_batch_matches_reference(records, arrays, params)
 
 
 @settings(max_examples=30, deadline=None)
@@ -389,4 +389,4 @@ def test_bucket_order_matches_int64_stable_argsort(n_buckets: int, seed: int, si
     ids = rng.choice(
         np.unique(np.r_[0, n_buckets - 1, rng.integers(0, n_buckets, 8)]), size
     ).astype(np.int64)
-    assert np.array_equal(_bucket_order(ids, n_buckets), np.argsort(ids, kind="stable"))
+    assert np.array_equal(group_order(ids, n_buckets), np.argsort(ids, kind="stable"))

@@ -10,7 +10,16 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from reordermon import csvtext, traceio
-from reordermon.model import FlowId, PacketRecord, int_to_ip
+from reordermon.model import (
+    DETECTOR_DEFS,
+    FlowId,
+    PacketRecord,
+    SeqState,
+    advance_state,
+    initial_state,
+    int_to_ip,
+    is_out_of_order,
+)
 from reordermon.oracle import compute_stats
 from reordermon.traceio import (
     PacketArrays,
@@ -20,6 +29,7 @@ from reordermon.traceio import (
     TraceFormatError,
     TraceMeta,
     filter_server_to_client,
+    flow_steps,
     flow_table_meta,
     generate_synthetic_arrays,
     parse_trace,
@@ -170,6 +180,58 @@ def test_arrays_round_trip_through_records() -> None:
     arrays = PacketArrays.from_records(records)
     assert list(arrays.iter_records()) == records
     assert len(arrays) == 120
+
+
+def reference_steps(arrays: PacketArrays) -> list[int]:
+    """Per packet in trace order, from a walk with ``is_out_of_order``: -1
+    for a flow's first packet, else the value of the definition the packet
+    breaks, else 0."""
+    states: dict[int, SeqState] = {}
+    steps = []
+    for fid, seq, length in zip(
+        arrays.flow_id.tolist(), arrays.seq.tolist(), arrays.payload_len.tolist()
+    ):
+        pkt = PacketRecord(arrays.flow(fid), seq, length, 0.0)
+        state = states.get(fid)
+        if state is None:
+            states[fid] = initial_state(pkt)
+            steps.append(-1)
+            continue
+        broken = [d.value for d in DETECTOR_DEFS if is_out_of_order(state, pkt, d)]
+        assert len(broken) <= 1
+        steps.append(broken[0] if broken else 0)
+        advance_state(state, pkt)
+    return steps
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n_flows=st.sampled_from([1, 9, 256, 257, 65_536, 65_537]),
+    seed=st.integers(0, 2**32 - 1),
+    size=st.integers(0, 300),
+)
+def test_flow_steps_match_per_packet_walk(n_flows: int, seed: int, size: int) -> None:
+    """On a subset whose flow table keeps packet-less flows (what the
+    hybrid's array sees), at each sort-width edge of the flow count."""
+    rng = np.random.default_rng(seed)
+    ids = np.unique(np.r_[0, n_flows - 1, rng.integers(0, n_flows, 6)])
+    hosts = np.arange(n_flows, dtype=np.int64)
+    arrays = PacketArrays(
+        ts=np.sort(rng.random(size)),
+        # multiples of 100 repeat seqs and hit the expected next seq exactly
+        seq=rng.integers(0, 20, size) * 100,
+        payload_len=rng.integers(1, 4, size) * 100,
+        flow_id=rng.choice(ids, size),
+        flow_src_ip=0x0A000000 + hosts,
+        flow_dst_ip=np.full(n_flows, 0xAC100001, dtype=np.int64),
+        flow_src_port=np.full(n_flows, 443, dtype=np.int64),
+        flow_dst_port=10_000 + hosts % 50_000,
+    )
+    arrays = arrays.subset(rng.random(size) < 0.7)
+    order, step = flow_steps(arrays)
+    assert step.dtype == np.int8
+    assert np.array_equal(order, np.argsort(arrays.flow_id, kind="stable"))
+    assert step.tolist() == np.asarray(reference_steps(arrays))[order].tolist()
 
 
 def test_write_trace_csv_matches_record_serializer() -> None:
