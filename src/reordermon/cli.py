@@ -6,9 +6,12 @@ evaluation over bucket counts and seeds), ``grid-hybrid`` (memory split
 search), and ``validate-lemma`` (Monte Carlo check of the sampling
 guarantee).
 
-Options may come from a flat ``key = value`` config file (``--config``);
-explicit flags always override the file.  Exit codes: 0 success, 1 usage
-error, 2 data error.
+Each option sets one field of the parameter object its command builds
+(``SynthConfig``, ``AnalysisParams`` or ``ExperimentSpec``), and an option
+left out keeps that field's default, so every default is stated once, in
+the library.  Options may come from a flat ``key = value`` config file
+(``--config``); explicit flags always override the file.  Exit codes: 0
+success, 1 usage error, 2 data error.
 """
 
 from __future__ import annotations
@@ -17,12 +20,11 @@ import argparse
 import importlib
 import json
 import sys
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, NamedTuple, Optional, Sequence
 
-from .controlplane import AggregatorMode
-from .model import DEF_BY_NUMBER
+if TYPE_CHECKING:
+    from .controlplane import AggregatorMode
 
 # The names the commands take from the other layers, and the module of each.
 # argv is parsed before any of them is imported (the layers import numpy),
@@ -37,6 +39,7 @@ _LAZY = {
     "RESULT_COLUMNS": "harness",
     "AnalysisParams": "harness",
     "ExperimentSpec": "harness",
+    "DETECTOR_FIELDS": "harness",
     "analyze_trace": "harness",
     "grid_search_hybrid": "harness",
     "load_trace_arrays": "harness",
@@ -106,17 +109,18 @@ def _parse_float_list(text: str) -> tuple[float, ...]:
 
 
 def _parse_mode(text: str) -> AggregatorMode:
+    from .controlplane import AggregatorMode
+
     try:
         return AggregatorMode(text)
     except ValueError:
         raise ValueError("mode must be 'count' or 'fraction'")
 
 
-@dataclass(frozen=True)
-class Opt:
+class Opt(NamedTuple):
     name: str  # flag spelling without the leading dashes
     parse: Callable[[str], object]
-    default: object
+    field: str  # the parameter field the option sets
     help: str
 
 
@@ -145,127 +149,100 @@ def _load_config(path: str) -> dict[str, str]:
     return values
 
 
-def _resolve(
-    args: argparse.Namespace, opts: Sequence[Opt]
-) -> tuple[dict[str, object], frozenset[str]]:
-    """The value of each option, and the names of those given as a flag or
-    in the config file.  Merge precedence: explicit flag > config file >
-    built-in default."""
+def _resolve(args: argparse.Namespace, opts: Sequence[Opt]) -> dict[str, object]:
+    """The parsed value of each option given as a flag or in the config
+    file, keyed by the field it sets; a flag overrides the file."""
     config: dict[str, str] = {}
     if getattr(args, "config", None):
         config = _load_config(args.config)
-        known = {opt.name for opt in opts}
-        unknown = sorted(set(config) - known)
+        unknown = sorted(set(config) - {opt.name for opt in opts})
         if unknown:
             raise UsageError(f"unknown config keys: {', '.join(unknown)}")
-    resolved: dict[str, object] = {}
-    given = set()
+    values: dict[str, object] = {}
     for opt in opts:
-        dest = opt.name.replace("-", "_")
-        raw = getattr(args, dest)
-        if raw is None and opt.name in config:
-            raw = config[opt.name]
+        raw = getattr(args, opt.name.replace("-", "_"))
         if raw is None:
-            resolved[dest] = opt.default
-        else:
-            given.add(opt.name)
+            raw = config.get(opt.name)
+        if raw is not None:
             try:
-                resolved[dest] = opt.parse(raw)
+                values[opt.field] = opt.parse(raw)
             except ValueError as exc:
                 raise UsageError(f"--{opt.name}: {exc}")
-    return resolved, frozenset(given)
+    return values
 
 
 # --- option tables ------------------------------------------------------------
 
 GENERATE_OPTS = (
-    Opt("prefixes", int, 1024, "number of 24-bit source prefixes"),
-    Opt("flows-zipf", float, 1.8, "zipf exponent of flows per prefix"),
-    Opt("size-zipf", float, 1.5, "zipf exponent of flow sizes"),
-    Opt("mean-flow-size", float, 48.0, "target mean packets per flow"),
-    Opt("bad-fraction", float, 0.05, "probability a prefix lies on a bad path"),
-    Opt("bad-prob", float, 0.05, "per-packet displacement probability on bad paths"),
-    Opt("good-prob", float, 0.001, "per-packet displacement probability elsewhere"),
-    Opt("displacement-max", int, 2, "maximum positions a packet is delayed"),
-    Opt("duration", float, 10.0, "trace duration in seconds"),
-    Opt("seed", int, 0, "generator seed"),
-    Opt("noisy-fraction", float, 0.0, "share of flows with one transient loss episode"),
-    Opt("max-flows", int, 48, "cap on flows per prefix"),
+    Opt("prefixes", int, "n_prefixes", "number of 24-bit source prefixes"),
+    Opt("flows-zipf", float, "flows_per_prefix_zipf_exponent", "zipf exponent of flows per prefix"),
+    Opt("size-zipf", float, "flow_size_zipf_exponent", "zipf exponent of flow sizes"),
+    Opt("mean-flow-size", float, "mean_flow_size", "target mean packets per flow"),
+    Opt("bad-fraction", float, "bad_prefix_fraction", "probability a prefix lies on a bad path"),
+    Opt("bad-prob", float, "bad_reorder_prob", "per-packet displacement probability on bad paths"),
+    Opt("good-prob", float, "good_reorder_prob", "per-packet displacement probability elsewhere"),
+    Opt("displacement-max", int, "displacement_max", "maximum positions a packet is delayed"),
+    Opt("duration", float, "duration_seconds", "trace duration in seconds"),
+    Opt("seed", int, "seed", "generator seed"),
+    Opt("noisy-fraction", float, "noisy_flow_fraction",
+        "share of flows with one transient loss episode"),
+    Opt("max-flows", int, "max_flows_per_prefix", "cap on flows per prefix"),
 )
 
 DETECTOR_OPTS = (
-    Opt("algo", str, "array", "detector: array | hh | hybrid"),
-    Opt("def", int, 1, "reorder definition: 1 (decrease) or 2 (gap)"),
-    Opt("buckets", _parse_int_list, (256,), "bucket counts, comma separated"),
-    Opt("hh-fraction", _parse_float_list, (0.5,), "hybrid memory fractions for the HH table"),
-    Opt("seeds", _parse_int_list, (0, 1, 2, 3, 4), "hash/RNG seeds, comma separated"),
-    Opt("T", float, 2.0**-15, "staleness timeout in seconds"),
-    Opt("C", int, 16, "per-record packet cap"),
-    Opt("R", int, 1, "array out-of-order report threshold"),
-    Opt("r-hh", float, 0.01, "HH out-of-order fraction threshold"),
-    Opt("d", int, 2, "HH stage count"),
-    Opt("min-report-packets", int, 16, "minimum packets before an HH fraction counts"),
-    Opt("alpha", int, 16, "minimum aggregated packets before output"),
-    Opt("beta", int, 128, "ground-truth minimum prefix size"),
-    Opt("eps", float, 0.01, "target out-of-order fraction"),
-    Opt("c", float, 1.0, "fraction-mode scaling in (0, 1]"),
-    Opt("mode", _parse_mode, AggregatorMode.COUNT_ONLY, "aggregator rule: count | fraction"),
-    Opt("report-all", _parse_bool, False, "report on every array eviction"),
-    Opt("filter-by-prefix", _parse_bool, False, "hybrid filters by prefix residency"),
+    Opt("algo", str, "algorithm", "detector: array | hh | hybrid"),
+    Opt("def", int, "reorder_def", "reorder definition: 1 (decrease) or 2 (gap)"),
+    Opt("buckets", _parse_int_list, "bucket_counts", "bucket counts, comma separated"),
+    Opt("hh-fraction", _parse_float_list, "hh_fractions",
+        "hybrid memory fractions for the HH table"),
+    Opt("seeds", _parse_int_list, "seeds", "hash/RNG seeds, comma separated"),
+    Opt("T", float, "stale_after", "staleness timeout in seconds"),
+    Opt("C", int, "max_packets", "per-record packet cap"),
+    Opt("R", int, "report_threshold", "array out-of-order report threshold"),
+    Opt("r-hh", float, "hh_report_fraction", "HH out-of-order fraction threshold"),
+    Opt("d", int, "hh_stages", "HH stage count"),
+    Opt("min-report-packets", int, "min_report_packets",
+        "minimum packets before an HH fraction counts"),
+    Opt("alpha", int, "alpha", "minimum aggregated packets before output"),
+    Opt("beta", int, "beta", "ground-truth minimum prefix size"),
+    Opt("eps", float, "eps", "target out-of-order fraction"),
+    Opt("c", float, "scale_c", "fraction-mode scaling in (0, 1]"),
+    Opt("mode", _parse_mode, "mode", "aggregator rule: count | fraction"),
+    Opt("report-all", _parse_bool, "report_all", "report on every array eviction"),
+    Opt("filter-by-prefix", _parse_bool, "filter_by_prefix", "hybrid filters by prefix residency"),
 )
+
+# grid-hybrid always runs the hybrid, so it takes no --algo; without
+# --hh-fraction it searches these splits
+GRID_DETECTOR_OPTS = tuple(opt for opt in DETECTOR_OPTS if opt.name != "algo")
+GRID_HH_FRACTIONS = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9)
 
 ANALYZE_OPTS = (
-    Opt("eps", float, 0.01, "target out-of-order fraction"),
-    Opt("alpha", int, 16, "small-prefix exemption threshold"),
-    Opt("beta", int, 128, "ground-truth minimum prefix size"),
-    Opt("pcc-reps", int, 100, "correlation test repetitions"),
-    Opt("pcc-frac", float, 0.005, "fraction of eligible flows sampled per test"),
-    Opt("pcc-seed", int, 0, "correlation sampling seed"),
+    Opt("eps", float, "eps", "target out-of-order fraction"),
+    Opt("alpha", int, "alpha", "small-prefix exemption threshold"),
+    Opt("beta", int, "beta", "ground-truth minimum prefix size"),
+    Opt("pcc-reps", int, "pcc_repetitions", "correlation test repetitions"),
+    Opt("pcc-frac", float, "pcc_sample_fraction", "fraction of eligible flows sampled per test"),
+    Opt("pcc-seed", int, "pcc_seed", "correlation sampling seed"),
 )
-
-# The detector options each algorithm reads, as harness.detector_params
-# builds it: the array from the sampler options, the HH table from the HH
-# options, and the hybrid from both and its own two.
-_SAMPLER_OPTS = frozenset({"T", "C", "R", "report-all"})
-_HH_OPTS = frozenset({"d", "r-hh", "min-report-packets"})
-ALGO_OPTS = {
-    "array": _SAMPLER_OPTS,
-    "hh": _HH_OPTS,
-    "hybrid": _SAMPLER_OPTS | _HH_OPTS | {"hh-fraction", "filter-by-prefix"},
-}
 
 LEMMA_OPTS = (
-    Opt("trials", int, 10_000, "Monte Carlo trials"),
-    Opt("seed", int, 0, "simulation seed"),
-    Opt("preset", str, "all", "preset name or 'all'"),
+    Opt("trials", int, "trials", "Monte Carlo trials"),
+    Opt("seed", int, "seed", "simulation seed"),
+    Opt("preset", str, "preset", "preset name or 'all'"),
 )
 
 
-def _spec_from(resolved: dict[str, object], algorithm: Optional[str] = None) -> ExperimentSpec:
-    if resolved["def"] not in DEF_BY_NUMBER:
-        raise UsageError("--def must be 1 or 2")
+def _spec_from(values: dict[str, object]) -> ExperimentSpec:
+    from .model import DEF_BY_NUMBER
+
+    if "reorder_def" in values:
+        if values["reorder_def"] not in DEF_BY_NUMBER:
+            raise UsageError("--def must be 1 or 2")
+        values = {**values, "reorder_def": DEF_BY_NUMBER[values["reorder_def"]]}
     _bind("ExperimentSpec")
     try:
-        return ExperimentSpec(
-            algorithm=algorithm if algorithm is not None else resolved["algo"],
-            reorder_def=DEF_BY_NUMBER[resolved["def"]],
-            bucket_counts=resolved["buckets"],
-            hh_fractions=resolved["hh_fraction"],
-            seeds=resolved["seeds"],
-            stale_after=resolved["T"],
-            max_packets=resolved["C"],
-            report_threshold=resolved["R"],
-            hh_report_fraction=resolved["r_hh"],
-            hh_stages=resolved["d"],
-            min_report_packets=resolved["min_report_packets"],
-            report_all=resolved["report_all"],
-            alpha=resolved["alpha"],
-            beta=resolved["beta"],
-            eps=resolved["eps"],
-            scale_c=resolved["c"],
-            mode=resolved["mode"],
-            filter_by_prefix=resolved["filter_by_prefix"],
-        )
+        return ExperimentSpec(**values)
     except ValueError as exc:  # bad parameter values, found before any trace is read
         raise UsageError(str(exc)) from exc
 
@@ -274,7 +251,7 @@ def _spec_from(resolved: dict[str, object], algorithm: Optional[str] = None) -> 
 
 
 def _cmd_generate(args: argparse.Namespace) -> int:
-    resolved, _ = _resolve(args, GENERATE_OPTS)
+    values = _resolve(args, GENERATE_OPTS)
     _bind(
         "SynthConfig",
         "generate_synthetic_arrays",
@@ -282,20 +259,7 @@ def _cmd_generate(args: argparse.Namespace) -> int:
         "write_sidecar",
         "flow_table_meta",
     )
-    cfg = SynthConfig(
-        n_prefixes=resolved["prefixes"],
-        flows_per_prefix_zipf_exponent=resolved["flows_zipf"],
-        flow_size_zipf_exponent=resolved["size_zipf"],
-        mean_flow_size=resolved["mean_flow_size"],
-        bad_prefix_fraction=resolved["bad_fraction"],
-        bad_reorder_prob=resolved["bad_prob"],
-        good_reorder_prob=resolved["good_prob"],
-        displacement_max=resolved["displacement_max"],
-        duration_seconds=resolved["duration"],
-        seed=resolved["seed"],
-        noisy_flow_fraction=resolved["noisy_fraction"],
-        max_flows_per_prefix=resolved["max_flows"],
-    )
+    cfg = SynthConfig(**values)
     try:
         cfg.validate()
     except ValueError as exc:  # bad option values, found before any file is opened
@@ -317,17 +281,10 @@ def _cmd_generate(args: argparse.Namespace) -> int:
 
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
-    resolved, _ = _resolve(args, ANALYZE_OPTS)
+    values = _resolve(args, ANALYZE_OPTS)
     _bind("AnalysisParams", "load_trace_arrays", "analyze_trace")
     try:
-        params = AnalysisParams(
-            eps=resolved["eps"],
-            alpha=resolved["alpha"],
-            beta=resolved["beta"],
-            pcc_repetitions=resolved["pcc_reps"],
-            pcc_sample_fraction=resolved["pcc_frac"],
-            pcc_seed=resolved["pcc_seed"],
-        )
+        params = AnalysisParams(**values)
     except ValueError as exc:  # bad parameter values, found before any trace is read
         raise UsageError(str(exc)) from exc
     arrays = load_trace_arrays(args.trace)
@@ -337,14 +294,15 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    resolved, given = _resolve(args, DETECTOR_OPTS)
-    spec = _spec_from(resolved)
-    # the hybrid reads every algorithm-specific option
-    unread = (given & ALGO_OPTS["hybrid"]) - ALGO_OPTS[spec.algorithm]
+    values = _resolve(args, DETECTOR_OPTS)
+    spec = _spec_from(values)
+    _bind("DETECTOR_FIELDS")
+    # the hybrid reads every algorithm-specific field
+    unread = (values.keys() & DETECTOR_FIELDS["hybrid"]) - DETECTOR_FIELDS[spec.algorithm]
     if unread:
+        flags = sorted(opt.name for opt in DETECTOR_OPTS if opt.field in unread)
         raise UsageError(
-            f"--algo {spec.algorithm} does not read "
-            + ", ".join(f"--{name}" for name in sorted(unread))
+            f"--algo {spec.algorithm} does not read " + ", ".join(f"--{f}" for f in flags)
         )
     _bind("load_trace_arrays", "run_experiment", "result_rows", "RESULT_COLUMNS", "write_csv")
     arrays = load_trace_arrays(args.trace)
@@ -356,19 +314,9 @@ def _cmd_run(args: argparse.Namespace) -> int:
     return 0
 
 
-# grid-hybrid always runs the hybrid, so it takes no --algo
-GRID_DETECTOR_OPTS = tuple(
-    Opt(o.name, o.parse, tuple(round(0.1 * k, 1) for k in range(1, 10)), o.help)
-    if o.name == "hh-fraction"
-    else o
-    for o in DETECTOR_OPTS
-    if o.name != "algo"
-)
-
-
 def _cmd_grid_hybrid(args: argparse.Namespace) -> int:
-    resolved, _ = _resolve(args, GRID_DETECTOR_OPTS)
-    spec = _spec_from(resolved, algorithm="hybrid")
+    values = _resolve(args, GRID_DETECTOR_OPTS)
+    spec = _spec_from({"hh_fractions": GRID_HH_FRACTIONS, **values, "algorithm": "hybrid"})
     _bind("load_trace_arrays", "grid_search_hybrid", "result_rows", "RESULT_COLUMNS", "write_csv")
     arrays = load_trace_arrays(args.trace)
     results, best = grid_search_hybrid(arrays, spec)
@@ -381,8 +329,9 @@ def _cmd_grid_hybrid(args: argparse.Namespace) -> int:
 
 
 def _cmd_validate_lemma(args: argparse.Namespace) -> int:
-    resolved, _ = _resolve(args, LEMMA_OPTS)
-    if resolved["trials"] < 1:
+    # no library object holds these three, so their defaults live here
+    values = {"trials": 10_000, "seed": 0, "preset": "all", **_resolve(args, LEMMA_OPTS)}
+    if values["trials"] < 1:
         raise UsageError("--trials must be >= 1")
     _bind("CheckModel", "check_model_presets", "empirical_guarantee", "write_csv")
     models: dict[str, CheckModel] = {}
@@ -407,7 +356,7 @@ def _cmd_validate_lemma(args: argparse.Namespace) -> int:
         )
     else:
         presets = check_model_presets()
-        name = resolved["preset"]
+        name = values["preset"]
         if name == "all":
             models.update(presets)
         elif name in presets:
@@ -416,7 +365,7 @@ def _cmd_validate_lemma(args: argparse.Namespace) -> int:
             raise UsageError(f"unknown preset {name!r}; have {', '.join(sorted(presets))}")
     rows = []
     for name, model in models.items():
-        result = empirical_guarantee(model, resolved["trials"], resolved["seed"])
+        result = empirical_guarantee(model, values["trials"], values["seed"])
         if result.vacuous:
             print(f"{name}: SKIPPED (failure bound {result.failure_bound:.3f} >= 1)")
         else:

@@ -145,6 +145,18 @@ def hh_params(spec: ExperimentSpec, buckets_per_stage: int, seed: int) -> HHPara
     )
 
 
+# The algorithm-specific ExperimentSpec fields each detector reads, as
+# detector_params builds it: the array the sampler fields, the HH table the
+# HH fields, and the hybrid both and its own two.
+_SAMPLER_FIELDS = frozenset({"stale_after", "max_packets", "report_threshold", "report_all"})
+_HH_FIELDS = frozenset({"hh_stages", "hh_report_fraction", "min_report_packets"})
+DETECTOR_FIELDS = {
+    "array": _SAMPLER_FIELDS,
+    "hh": _HH_FIELDS,
+    "hybrid": _SAMPLER_FIELDS | _HH_FIELDS | {"hh_fractions", "filter_by_prefix"},
+}
+
+
 def detector_params(
     spec: ExperimentSpec, buckets: int, hh_fraction: float, seed: int
 ) -> SamplerParams | HHParams | HybridParams:
@@ -152,7 +164,13 @@ def detector_params(
     if spec.algorithm == "array":
         return sampler_params(spec, buckets, seed)
     if spec.algorithm == "hh":
-        return hh_params(spec, max(1, buckets // spec.hh_stages), seed)
+        if buckets < spec.hh_stages:
+            raise ValueError(
+                f"hh with {buckets} buckets builds no HH table "
+                f"(needs {spec.hh_stages} buckets, one per stage)"
+            )
+        # max() leaves a stage count below 1 for HHParams to reject
+        return hh_params(spec, buckets // max(1, spec.hh_stages), seed)
     from .hybrid import HybridParams
 
     params = HybridParams(

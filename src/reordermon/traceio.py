@@ -98,11 +98,16 @@ class PacketArrays:
             seqs.append(rec.seq)
             lens.append(rec.payload_len)
             tss.append(rec.ts)
+        payload_len = np.asarray(lens, dtype=np.int64)
+        # a negative payload could make one packet break DEF1 and DEF2 at once
+        negative = np.flatnonzero(payload_len < 0)
+        if len(negative):
+            raise ValueError(f"record {negative[0]}: negative payload_len {lens[negative[0]]}")
         flows = list(flow_index)
         return cls(
             ts=np.asarray(tss, dtype=np.float64),
             seq=np.asarray(seqs, dtype=np.int64),
-            payload_len=np.asarray(lens, dtype=np.int64),
+            payload_len=payload_len,
             flow_id=np.asarray(fids, dtype=np.int64),
             flow_src_ip=np.asarray([f.src_ip for f in flows], dtype=np.int64),
             flow_dst_ip=np.asarray([f.dst_ip for f in flows], dtype=np.int64),
@@ -563,7 +568,7 @@ class SynthConfig:
     the samplers is exercised at realistic timescales.
     """
 
-    n_prefixes: int
+    n_prefixes: int = 1024
     flows_per_prefix_zipf_exponent: float = 1.8
     flow_size_zipf_exponent: float = 1.5
     mean_flow_size: float = 48.0

@@ -5,8 +5,10 @@ from pathlib import Path
 
 import pytest
 
-from reordermon.cli import main
-from reordermon.traceio import TRACE_HEADER
+from reordermon import cli
+from reordermon.cli import GRID_HH_FRACTIONS, main
+from reordermon.harness import AnalysisParams, ExperimentSpec
+from reordermon.traceio import TRACE_HEADER, SynthConfig
 
 
 def run_cli(*argv: str) -> int:
@@ -256,16 +258,30 @@ def test_usage_error_exit_code() -> None:
     assert excinfo.value.code == 1
 
 
-def test_bad_flag_value_is_usage_error(trace_path: Path, tmp_path: Path) -> None:
+def test_bad_flag_value_is_usage_error(
+    trace_path: Path, tmp_path: Path, capsys: pytest.CaptureFixture
+) -> None:
     hybrid_config = tmp_path / "hybrid.conf"
     hybrid_config.write_text("hh-fraction = 0.3\nfilter-by-prefix = true\n")
-    code = run_cli(
-        "run", "--trace", str(trace_path), "--out", str(tmp_path / "o"),
-        "--def", "7",
-    )
-    assert code == 1
+    bad_config = tmp_path / "bad.conf"
+    bad_config.write_text("bogus-key = 1\n")
     # parameter values are checked before the trace is read: a missing
     # trace would otherwise exit 2
+    for command, flags, message in (
+        ("run", ("--def", "7"), "--def must be 1 or 2"),
+        ("run", ("--algo", "array", "--r-hh", "0.1", "--d", "9"),
+         "--algo array does not read --d, --r-hh"),
+        ("run", ("--seeds", ","), "--seeds: empty item in ','"),
+        ("run", ("--buckets", "32,32"), "--buckets: 32 is listed twice in '32,32'"),
+        ("run", ("--config", str(bad_config)), "unknown config keys: bogus-key"),
+        ("run", ("--mode", "bogus"), "--mode: mode must be 'count' or 'fraction'"),
+        ("run", ("--algo", "hh", "--buckets", "1", "--d", "4"),
+         "hh with 1 buckets builds no HH table (needs 4 buckets, one per stage)"),
+    ):
+        for trace in (trace_path, tmp_path / "missing.csv"):
+            code = run_cli(command, "--trace", str(trace), "--out", str(tmp_path / "o"), *flags)
+            assert code == 1, (command, flags)
+            assert capsys.readouterr().err == f"error: {message}\n"
     for command, flags in (
         ("run", ("--buckets", "0")),
         ("run", ("--C", "0")),
@@ -274,6 +290,10 @@ def test_bad_flag_value_is_usage_error(trace_path: Path, tmp_path: Path) -> None
         ("run", ("--alpha", "200", "--beta", "100")),
         # one bucket, all of it for a two-stage HH table: neither structure
         ("run", ("--algo", "hybrid", "--buckets", "1", "--hh-fraction", "1")),
+        # fewer buckets than HH stages: no table fits the memory budget
+        ("run", ("--algo", "hh", "--buckets", "3,4", "--d", "4")),
+        ("run", ("--algo", "hh", "--buckets", "0")),
+        ("run", ("--algo", "hh", "--d", "0")),
         # empty lists: nothing to run
         ("run", ("--buckets", ",")),
         ("run", ("--seeds", ",")),
@@ -306,6 +326,40 @@ def test_bad_flag_value_is_usage_error(trace_path: Path, tmp_path: Path) -> None
         for trace in (trace_path, tmp_path / "missing.csv"):
             code = run_cli(command, "--trace", str(trace), "--out", str(tmp_path / "o"), *flags)
             assert code == 1, (command, flags)
+    assert not (tmp_path / "o").exists()
+
+
+class Built(Exception):
+    """Carries the parameter object a command built, and stops the command."""
+
+
+@pytest.mark.parametrize(
+    "command,name,expected",
+    [
+        ("generate", "SynthConfig", SynthConfig()),
+        ("analyze", "AnalysisParams", AnalysisParams()),
+        ("run", "ExperimentSpec", ExperimentSpec()),
+        ("sweep", "ExperimentSpec", ExperimentSpec()),
+        (
+            "grid-hybrid",
+            "ExperimentSpec",
+            ExperimentSpec(algorithm="hybrid", hh_fractions=GRID_HH_FRACTIONS),
+        ),
+    ],
+)
+def test_flag_less_commands_build_the_library_defaults(
+    command: str, name: str, expected: object, monkeypatch: pytest.MonkeyPatch, tmp_path: Path
+) -> None:
+    def build(**values: object) -> None:
+        raise Built(type(expected)(**values))
+
+    monkeypatch.setattr(cli, name, build)
+    argv = [command, "--out", str(tmp_path / "o")]
+    if command != "generate":
+        argv += ["--trace", str(tmp_path / "missing.csv")]
+    with pytest.raises(Built) as built:
+        run_cli(*argv)
+    assert built.value.args[0] == expected
     assert not (tmp_path / "o").exists()
 
 

@@ -59,6 +59,8 @@ def test_help_and_usage_errors_load_no_numpy(argv: tuple[str, ...], code: int) -
     got, modules = run_cli(*argv)
     assert got == code
     assert "numpy" not in modules
+    # the parameter types are imported only by the command that builds them
+    assert not modules & {"dataclasses", "reordermon.model", "reordermon.controlplane"}
 
 
 def test_validate_lemma_loads_no_trace_or_detector_module() -> None:

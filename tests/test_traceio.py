@@ -182,6 +182,14 @@ def test_arrays_round_trip_through_records() -> None:
     assert len(arrays) == 120
 
 
+def test_from_records_rejects_negative_payload() -> None:
+    # with payload -200, seq 900 after seq 1000 would break DEF1 and DEF2 at once
+    flow = FlowId(0x0A000001, 0xAC100001, 443, 50_000)
+    records = [PacketRecord(flow, 1000, -200, 0.0), PacketRecord(flow, 900, 100, 0.1)]
+    with pytest.raises(ValueError, match="record 0: negative payload_len -200"):
+        PacketArrays.from_records(records)
+
+
 def reference_steps(arrays: PacketArrays) -> list[int]:
     """Per packet in trace order, from a walk with ``is_out_of_order``: -1
     for a flow's first packet, else the value of the definition the packet
