@@ -27,7 +27,7 @@ _SOURCES = {
         "prefix_of",
     ),
     "oracle": ("GroundTruth", "TraceStats", "compute_stats", "ground_truth"),
-    "reports": ("Report", "ReportSource"),
+    "reports": ("Report", "ReportColumns", "ReportSource"),
     "sampling": ("BucketRecord", "FlowSamplingArray", "SamplerParams"),
     "traceio": (
         "PacketArrays",
@@ -57,6 +57,7 @@ __all__ = [
     "ReorderHeavyHitter",
     "Report",
     "ReportAggregator",
+    "ReportColumns",
     "ReportSource",
     "SamplerParams",
     "SeqState",

@@ -333,6 +333,8 @@ def _cmd_validate_lemma(args: argparse.Namespace) -> int:
     values = {"trials": 10_000, "seed": 0, "preset": "all", **_resolve(args, LEMMA_OPTS)}
     if values["trials"] < 1:
         raise UsageError("--trials must be >= 1")
+    if values["seed"] < 0:  # numpy's generators take no negative seed
+        raise UsageError("--seed must be >= 0")
     _bind("CheckModel", "check_model_presets", "empirical_guarantee", "write_csv")
     models: dict[str, CheckModel] = {}
     if args.model:
@@ -426,16 +428,12 @@ def build_parser() -> _Parser:
     _add_opts(p_an, ANALYZE_OPTS)
     p_an.set_defaults(handler=_cmd_analyze)
 
-    for name, help_text in (
-        ("run", "evaluate detector configurations"),
-        ("sweep", "memory sweep over bucket counts"),
-    ):
-        p_run = sub.add_parser(name, help=help_text)
-        p_run.add_argument("--trace", required=True)
-        p_run.add_argument("--out", required=True, help="output directory")
-        p_run.add_argument("--config", help="key=value config file")
-        _add_opts(p_run, DETECTOR_OPTS)
-        p_run.set_defaults(handler=_cmd_run)
+    p_run = sub.add_parser("run", aliases=["sweep"], help="evaluate detector configurations")
+    p_run.add_argument("--trace", required=True)
+    p_run.add_argument("--out", required=True, help="output directory")
+    p_run.add_argument("--config", help="key=value config file")
+    _add_opts(p_run, DETECTOR_OPTS)
+    p_run.set_defaults(handler=_cmd_run)
 
     p_grid = sub.add_parser("grid-hybrid", help="grid search the hybrid memory split")
     p_grid.add_argument("--trace", required=True)

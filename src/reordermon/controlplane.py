@@ -13,9 +13,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from typing import TYPE_CHECKING
 
 from .model import Prefix
-from .reports import Report
+
+if TYPE_CHECKING:
+    from .reports import ReportColumns
 
 
 class AggregatorMode(Enum):
@@ -37,44 +40,33 @@ class AggregatorParams:
             raise ValueError("scale must lie in (0, 1]")
 
 
-@dataclass(slots=True)
-class PrefixTally:
-    prefix: Prefix
-    sum_n: int = 0
-    sum_o: int = 0
-    report_count: int = 0
-
-
 class ReportAggregator:
+    """Per-prefix tallies as columns, one row per reported prefix by ascending
+    ``prefix_bits``: the ``sum_n`` and ``sum_o`` of its reports."""
+
     def __init__(self) -> None:
-        self._tallies: dict[Prefix, PrefixTally] = {}
+        # numpy loads here, not with the module: the CLI imports this module
+        # for AggregatorMode while it checks options
+        import numpy as np
+
+        self.prefix_bits = self.sum_n = self.sum_o = np.empty(0, dtype=np.int64)
         self.report_count = 0
 
-    def ingest(self, report: Report) -> None:
-        tally = self._tallies.get(report.prefix)
-        if tally is None:
-            tally = PrefixTally(report.prefix)
-            self._tallies[report.prefix] = tally
-        tally.sum_n += report.n
-        tally.sum_o += report.o
-        tally.report_count += 1
-        self.report_count += 1
+    def ingest_all(self, reports: ReportColumns) -> None:
+        """Add a report stream to the tallies; repeated calls accumulate."""
+        import numpy as np
 
-    def ingest_all(self, reports) -> None:
-        for report in reports:
-            self.ingest(report)
-
-    def tallies(self) -> dict[Prefix, PrefixTally]:
-        return dict(self._tallies)
+        bits = np.concatenate((self.prefix_bits, reports.prefix_bits))
+        self.prefix_bits, row = np.unique(bits, return_inverse=True)
+        # float64 sums of int64 counts are exact below 2^53 packets
+        self.sum_n = np.bincount(row, np.concatenate((self.sum_n, reports.n))).astype(np.int64)
+        self.sum_o = np.bincount(row, np.concatenate((self.sum_o, reports.o))).astype(np.int64)
+        self.report_count += len(reports)
 
     def finalize(self, params: AggregatorParams) -> set[Prefix]:
         """The output set; a pure function of the tallies."""
-        out: set[Prefix] = set()
-        for prefix, tally in self._tallies.items():
-            if tally.sum_n < params.min_packets:
-                continue
-            if params.mode is AggregatorMode.FRACTION:
-                if tally.sum_o / tally.sum_n <= params.scale * params.eps:
-                    continue
-            out.add(prefix)
-        return out
+        out = self.sum_n >= params.min_packets
+        if params.mode is AggregatorMode.FRACTION:
+            # sum_n >= min_packets >= 1 on every row the mask keeps
+            out[out] = self.sum_o[out] / self.sum_n[out] > params.scale * params.eps
+        return {Prefix(bits) for bits in self.prefix_bits[out].tolist()}

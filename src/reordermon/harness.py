@@ -26,7 +26,7 @@ from .oracle import (
     interarrival_histogram,
     mean_pearson_correlation,
 )
-from .reports import Report
+from .reports import ReportColumns
 from .traceio import PacketArrays, parse_trace
 from .writers import write_csv, write_json
 
@@ -201,13 +201,11 @@ def collect_reports(
     buckets: int,
     hh_fraction: float,
     seed: int,
-) -> list[Report]:
+) -> ReportColumns:
     """Stream the trace through one freshly built detector; eviction reports
     followed by the end-of-interval flush."""
     detector = detector_class(spec.algorithm)(detector_params(spec, buckets, hh_fraction, seed))
-    reports = detector.process_trace(arrays)
-    reports.extend(detector.flush())
-    return reports
+    return ReportColumns.merge(detector.process_trace(arrays), detector.flush())
 
 
 def truth_sets(
@@ -226,7 +224,7 @@ def truth_sets(
 
 
 def evaluate_reports(
-    reports: Sequence[Report],
+    reports: ReportColumns,
     stream_length: int,
     beta_set: frozenset[Prefix],
     alpha_set: frozenset[Prefix],
@@ -348,13 +346,15 @@ class AnalysisParams:
     def __post_init__(self) -> None:
         if not 0.0 < self.eps < 1.0:
             raise ValueError("eps must lie in (0, 1)")
-        if self.alpha >= self.beta:
-            raise ValueError("alpha must be smaller than beta")
+        if not 1 <= self.alpha < self.beta:  # alpha >= 1: the aggregator's rule
+            raise ValueError("need 1 <= alpha < beta")
         if self.pcc_repetitions < 1:
             raise ValueError("pcc_repetitions must be >= 1")
         # written so that NaN fails too
         if not 0.0 < self.pcc_sample_fraction <= 1.0:
             raise ValueError("pcc_sample_fraction must lie in (0, 1]")
+        if self.pcc_seed < 0:  # numpy's generators take no negative seed
+            raise ValueError("pcc_seed must be >= 0")
 
 
 def analyze_trace(

@@ -45,7 +45,7 @@ from .model import (
     is_out_of_order,
     prefix_of,
 )
-from .reports import Report, ReportSource
+from .reports import Report, ReportColumns, ReportSource
 from .traceio import PacketArrays, flow_steps
 
 
@@ -147,18 +147,17 @@ class ReorderHeavyHitter:
         self.meter.end_packet()
         return resident, report
 
-    def flush(self) -> list[Report]:
-        out: list[Report] = []
+    def flush(self) -> ReportColumns:
+        rows = []
         for stage in self._stages:
             for idx, entry in enumerate(stage):
                 if entry is None:
                     continue
                 if self._should_report(entry):
-                    out.append(
-                        Report(prefix_of(entry.flow), entry.n, entry.o, ReportSource.HH_FLUSH)
-                    )
+                    bits = prefix_of(entry.flow).bits
+                    rows.append((self.packets_processed, bits, entry.n, entry.o))
                 stage[idx] = None
-        return out
+        return ReportColumns.of(ReportSource.HH_FLUSH, rows)
 
     def contains_prefix(self, prefix: Prefix) -> bool:
         """Whether any flow of ``prefix`` is currently resident."""
@@ -173,7 +172,7 @@ class ReorderHeavyHitter:
 
     # --- batch path ---------------------------------------------------------
 
-    def process_trace(self, arrays: PacketArrays) -> list[Report]:
+    def process_trace(self, arrays: PacketArrays) -> ReportColumns:
         """Stream a whole columnar trace through a fresh table; returns the
         eviction reports in the per-packet path's emission order.
 
@@ -181,13 +180,12 @@ class ReorderHeavyHitter:
         and ``packets_processed`` exactly as the per-packet path would, so
         ``flush`` afterwards behaves identically.
         """
-        return [report for _, report in self._process_trace_indexed(arrays)[0]]
+        return self._process_trace(arrays)[0]
 
-    def _process_trace_indexed(
+    def _process_trace(
         self, arrays: PacketArrays, by_prefix: bool = False
-    ) -> tuple[list[tuple[int, Report]], np.ndarray]:
-        """``process_trace`` with each report paired with the index of the
-        packet that triggered it, plus a per-packet mask: resident after the
+    ) -> tuple[ReportColumns, np.ndarray]:
+        """``process_trace`` plus a per-packet mask: resident after the
         packet's step, or with ``by_prefix`` any flow of its prefix resident
         (the hybrid's two filtering rules)."""
         if self.packets_processed:
@@ -196,8 +194,6 @@ class ReorderHeavyHitter:
         n_pkts = len(arrays)
         self.packets_processed = n_pkts
         filtered = np.ones(n_pkts, dtype=bool)
-        if n_pkts == 0:
-            return [], filtered
 
         # packets grouped by flow, time order kept: an entry's n packets after
         # its admission packet at position a are positions a+1 .. a+n
@@ -229,8 +225,7 @@ class ReorderHeavyHitter:
         draw = self._rng.random
         min_n = p.min_report_packets
         fraction = p.report_fraction
-        eviction = ReportSource.HH_EVICTION
-        pending: list[tuple[int, Report]] = []
+        rows = []  # (triggering packet, prefix bits, n, o)
         rejected: list[int] = []
 
         for i, f in enumerate(fid.tolist()):
@@ -253,7 +248,7 @@ class ReorderHeavyHitter:
                         a = position[admitted_at[k]]
                         o = int(cum[a + n] - cum[a])
                         if o / n > fraction:
-                            pending.append((i, Report(Prefix(bits_list[g]), n, o, eviction)))
+                            rows.append((i, bits_list[g], n, o))
                 occupant[k] = f
                 slot_of[f] = k
                 count[k] = base[k] = c + 1
@@ -278,4 +273,4 @@ class ReorderHeavyHitter:
                 n,
                 int(cum[a + n] - cum[a]),
             )
-        return pending, filtered
+        return ReportColumns.of(ReportSource.HH_EVICTION, rows), filtered

@@ -17,26 +17,23 @@ accuracy for fewer reports and is off by default.
 
 ``process_packet`` is the reference implementation.  ``process_trace`` is
 the batch twin for whole traces and does not meter: the HH table's batch
-pass yields each packet's filter outcome, the array's batch pass runs on
-the unfiltered packets, and the two report streams are merged by the
-triggering packet, which is the per-packet emission order.  (A packet that
-triggers an HH report was just admitted, so it never reaches the array:
-no packet triggers both.)
+pass yields each packet's filter outcome, and the array's batch pass runs
+on the unfiltered packets.  A packet that triggers an HH report was just
+admitted, so it never reaches the array: ordered by triggering packet, the
+two report streams interleave as the per-packet path emits them.
 """
 
 from __future__ import annotations
 
-import heapq
 import math
 from dataclasses import dataclass, replace
-from operator import itemgetter
 from typing import Optional
 
 import numpy as np
 
 from .heavyhitter import HHParams, ReorderHeavyHitter
 from .model import PacketRecord, prefix_of
-from .reports import Report
+from .reports import Report, ReportColumns
 from .sampling import FlowSamplingArray, SamplerParams
 from .traceio import PacketArrays
 
@@ -104,30 +101,24 @@ class HybridDetector:
                 out.append(report)
         return out
 
-    def process_trace(self, arrays: PacketArrays) -> list[Report]:
+    def process_trace(self, arrays: PacketArrays) -> ReportColumns:
         """Stream a whole columnar trace through a fresh detector; returns
         the reports ``process_packet`` would emit, in the same order, and
         leaves both structures as it would."""
         if self.hh is None:
-            return [] if self.array is None else self.array.process_trace(arrays)
-        hh_part, filtered = self.hh._process_trace_indexed(
-            arrays, self.params.filter_by_prefix
-        )
+            return self.array.process_trace(arrays) if self.array else ReportColumns.merge()
+        hh_part, filtered = self.hh._process_trace(arrays, self.params.filter_by_prefix)
         if self.array is None:
-            return [report for _, report in hh_part]
+            return hh_part
         keep = np.flatnonzero(~filtered)
-        position = keep.tolist()
-        array_part = [
-            (position[j], report)
-            for j, report in self.array._process_trace_indexed(arrays.subset(keep))
-        ]
-        merged = heapq.merge(hh_part, array_part, key=itemgetter(0))
-        return [report for _, report in merged]
+        array_part = self.array.process_trace(arrays.subset(keep))
+        # the array's triggers index the unfiltered packets only
+        return ReportColumns.merge(hh_part, replace(array_part, trigger=keep[array_part.trigger]))
 
-    def flush(self) -> list[Report]:
-        out: list[Report] = []
-        if self.hh is not None:
-            out.extend(self.hh.flush())
-        if self.array is not None:
-            out.extend(self.array.flush())
-        return out
+    def flush(self) -> ReportColumns:
+        """The HH table's flush reports, then the array's, all triggered at
+        the end of the stream, which only the HH table sees whole."""
+        parts = [part for part in (self.hh, self.array) if part is not None]
+        end = max((part.packets_processed for part in parts), default=0)
+        flushed = [part.flush() for part in parts]
+        return ReportColumns.merge(*(replace(f, trigger=np.full(len(f), end)) for f in flushed))

@@ -22,7 +22,7 @@ test suite holds them to that.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -33,7 +33,6 @@ from .model import (
     DETECTOR_DEFS,
     FlowId,
     PacketRecord,
-    Prefix,
     ReorderDef,
     SeqState,
     advance_state,
@@ -41,7 +40,7 @@ from .model import (
     is_out_of_order,
     prefix_of,
 )
-from .reports import Report, ReportSource
+from .reports import Report, ReportColumns, ReportSource
 from .traceio import PacketArrays, flow_steps, group_order
 
 
@@ -127,9 +126,7 @@ class FlowSamplingArray:
             hogging = rec.n > p.max_packets
             reordered = rec.o > p.report_threshold
             if stale or hogging or reordered:
-                if reordered:
-                    report = Report(prefix_of(rec.flow), rec.n, rec.o, ReportSource.ARRAY_EVICTION)
-                elif p.report_all and rec.n >= 1:
+                if reordered or (p.report_all and rec.n >= 1):
                     report = Report(prefix_of(rec.flow), rec.n, rec.o, ReportSource.ARRAY_EVICTION)
                 self.meter.write(0, b)
                 self._buckets[b] = BucketRecord(pkt.flow, initial_state(pkt), pkt.ts, 0, 0)
@@ -137,25 +134,25 @@ class FlowSamplingArray:
         self.meter.end_packet()
         return report
 
-    def flush(self) -> list[Report]:
+    def flush(self) -> ReportColumns:
         """End-of-interval scan: report remaining records per the eviction
         reporting rule, then clear every bucket."""
         p = self.params
-        out: list[Report] = []
+        rows = []
         for b, rec in enumerate(self._buckets):
             if rec is None:
                 continue
             if rec.o > p.report_threshold or (p.report_all and rec.n >= 1):
-                out.append(Report(prefix_of(rec.flow), rec.n, rec.o, ReportSource.ARRAY_FLUSH))
+                rows.append((self.packets_processed, prefix_of(rec.flow).bits, rec.n, rec.o))
             self._buckets[b] = None
-        return out
+        return ReportColumns.of(ReportSource.ARRAY_FLUSH, rows)
 
     def occupied_buckets(self) -> int:
         return sum(1 for rec in self._buckets if rec is not None)
 
     # --- batch path ---------------------------------------------------------
 
-    def process_trace(self, arrays: PacketArrays) -> list[Report]:
+    def process_trace(self, arrays: PacketArrays) -> ReportColumns:
         """Stream a whole columnar trace through a fresh array.
 
         Requires that no packets have been processed yet; leaves the bucket
@@ -167,22 +164,15 @@ class FlowSamplingArray:
         packets.  Within a run only plain per-flow updates can happen, so a
         run collapses into precomputed counter increments; eviction logic
         runs once per run boundary, plus a binary search when the staleness
-        timeout is crossed mid-run.  Reports are re-sorted by the index of
-        the packet that triggered them, which restores the exact emission
-        order of the per-packet path.
+        timeout is crossed mid-run.
         """
-        return [report for _, report in self._process_trace_indexed(arrays)]
-
-    def _process_trace_indexed(self, arrays: PacketArrays) -> list[tuple[int, Report]]:
-        """``process_trace`` with each report paired with the index of the
-        packet that triggered it, in that order."""
         if self.packets_processed:
             raise RuntimeError("process_trace requires a fresh detector instance")
         p = self.params
         n_pkts = len(arrays)
         self.packets_processed = n_pkts
         if n_pkts == 0:
-            return []
+            return ReportColumns.merge()
 
         fid = arrays.flow_id
         bucket_per_flow = bucket_index_array(
@@ -229,8 +219,7 @@ class FlowSamplingArray:
         C = p.max_packets
         R = p.report_threshold
         report_all = p.report_all
-        pending: list[tuple[int, Report]] = []
-        eviction = ReportSource.ARRAY_EVICTION
+        rows = []  # (trigger's position in bucket order, prefix bits, n, o)
 
         for r in range(len(r_start)):
             b = r_bucket[r]
@@ -254,12 +243,7 @@ class FlowSamplingArray:
                 else:
                     continue  # resident survives; whole run is dropped
                 if o_res > R or (report_all and b_n[b] >= 1):
-                    pending.append(
-                        (
-                            int(order[evict_at]),
-                            Report(Prefix(bits_list[res]), b_n[b], o_res, eviction),
-                        )
-                    )
+                    rows.append((evict_at, bits_list[res], b_n[b], o_res))
                 b_flow[b] = f
                 if evict_at == r_start[r]:
                     b_n[b] = r_len[r] - 1
@@ -286,5 +270,5 @@ class FlowSamplingArray:
                 b_n[b],
                 b_o[b],
             )
-        pending.sort(key=lambda item: item[0])
-        return pending
+        evicted = ReportColumns.of(ReportSource.ARRAY_EVICTION, rows)
+        return ReportColumns.merge(replace(evicted, trigger=order[evicted.trigger]))

@@ -597,6 +597,8 @@ class SynthConfig:
             raise ValueError("need 0 <= good_reorder_prob <= bad_reorder_prob <= 1")
         if self.displacement_max < 1:
             raise ValueError("displacement_max must be >= 1")
+        if self.seed < 0:  # numpy's generators take no negative seed
+            raise ValueError("seed must be >= 0")
         if not 0.0 < self.duration_seconds < math.inf:
             raise ValueError("duration_seconds must be finite and positive")
         if not 2.0 <= self.mean_flow_size < math.inf:

@@ -1,9 +1,13 @@
 from __future__ import annotations
 
 import random
+from typing import Iterable
+
+import numpy as np
 
 from reordermon.model import FlowId, PacketRecord, Prefix
 from reordermon.oracle import TraceStats
+from reordermon.reports import SOURCES, Report, ReportColumns, ReportSource
 from reordermon.traceio import PacketArrays
 
 
@@ -64,3 +68,34 @@ def stats_tables(
         )
     }
     return flows, prefixes
+
+
+def report_columns(emitted: Iterable[tuple[int, Report]]) -> ReportColumns:
+    """A per-packet run's reports, each paired with the index of the packet
+    that emitted it, as the batch paths' columns."""
+    rows = [(i, rep.prefix.bits, rep.n, rep.o, SOURCES.index(rep.source)) for i, rep in emitted]
+    columns = list(zip(*rows)) or [()] * 5
+    return ReportColumns(*(np.array(column, dtype=np.int64) for column in columns))
+
+
+def per_packet_rows(records, step, flush) -> list[tuple]:
+    """The ``report_rows`` of a per-packet run: ``step`` gives each packet's
+    reports (None for none), then ``flush`` ends the interval."""
+    emitted = [(i, rep) for i, rec in enumerate(records) for rep in step(rec) if rep is not None]
+    return report_rows(ReportColumns.merge(report_columns(emitted), flush()))
+
+
+def report_rows(columns: ReportColumns) -> list[tuple[int, int, int, int, ReportSource]]:
+    """``columns`` as (trigger, prefix bits, n, o, source) rows in order, so
+    that ``==`` compares values and order and a failure shows the rows."""
+    for column in (columns.trigger, columns.prefix_bits, columns.n, columns.o, columns.source):
+        assert column.dtype == np.int64 and column.shape == (len(columns),)
+    return list(
+        zip(
+            columns.trigger.tolist(),
+            columns.prefix_bits.tolist(),
+            columns.n.tolist(),
+            columns.o.tolist(),
+            [SOURCES[code] for code in columns.source.tolist()],
+        )
+    )

@@ -21,10 +21,11 @@ from reordermon.heavyhitter import HHParams, ReorderHeavyHitter
 from reordermon.hybrid import HybridDetector, HybridParams
 from reordermon.model import Prefix, ReorderDef
 from reordermon.oracle import compute_stats, mean_pearson_correlation
+from reordermon.reports import ReportColumns
 from reordermon.sampling import FlowSamplingArray, SamplerParams
 from reordermon.traceio import PacketArrays, SynthConfig, generate_synthetic_arrays
 
-from conftest import random_trace, stats_tables
+from conftest import per_packet_rows, random_trace, report_rows, stats_tables
 from test_oracle import quadratic_recount
 from test_sampling import find_injective_seed
 
@@ -129,13 +130,16 @@ def test_c02_no_collision_equivalence(def_: ReorderDef) -> None:
         hash_seed=seed,
     )
     detector = FlowSamplingArray(params)
-    reports = detector.process_trace(arrays)
-    reports.extend(detector.flush())
+    reports = report_rows(ReportColumns.merge(detector.process_trace(arrays), detector.flush()))
+    ref = FlowSamplingArray(params)
+    assert reports == per_packet_rows(
+        arrays.iter_records(), lambda pkt: [ref.process_packet(pkt)], ref.flush
+    )
     totals: dict[Prefix, list[int]] = {}
-    for rep in reports:
-        agg = totals.setdefault(rep.prefix, [0, 0])
-        agg[0] += rep.n
-        agg[1] += rep.o
+    for _, bits, n, o, _ in reports:
+        agg = totals.setdefault(Prefix(bits), [0, 0])
+        agg[0] += n
+        agg[1] += o
     assert set(totals) == set(prefixes)
     for prefix, (sum_n, sum_o) in totals.items():
         n, _, *ooo = prefixes[prefix]
@@ -160,27 +164,19 @@ def test_c03_degenerate_hybrid_is_bitwise_identical() -> None:
     zero = HybridDetector(
         HybridParams(total_buckets=total_buckets, hh_fraction=0.0, sampler=sampler, hh=hh)
     )
-    zero_stream = [r for rec in records for r in zero.process_packet(rec)]
-    zero_stream.extend(zero.flush())
+    zero_stream = per_packet_rows(records, zero.process_packet, zero.flush)
     array = FlowSamplingArray(sampler)
-    array_stream = [r for rec in records if (r := array.process_packet(rec))]
-    array_stream.extend(array.flush())
+    array_stream = per_packet_rows(records, lambda rec: [array.process_packet(rec)], array.flush)
     assert zero_stream == array_stream
 
     one = HybridDetector(
         HybridParams(total_buckets=total_buckets, hh_fraction=1.0, sampler=sampler, hh=hh)
     )
-    one_stream = [r for rec in records for r in one.process_packet(rec)]
-    one_stream.extend(one.flush())
+    one_stream = per_packet_rows(records, one.process_packet, one.flush)
     from dataclasses import replace
 
     solo = ReorderHeavyHitter(replace(hh, buckets_per_stage=total_buckets // hh.n_stages))
-    hh_stream = []
-    for rec in records:
-        _, rep = solo.process_packet(rec)
-        if rep is not None:
-            hh_stream.append(rep)
-    hh_stream.extend(solo.flush())
+    hh_stream = per_packet_rows(records, lambda rec: [solo.process_packet(rec)[1]], solo.flush)
     assert one_stream == hh_stream
     report("C3", f"x=0 matches array ({len(array_stream)} reports), x=1 matches HH "
                  f"({len(hh_stream)} reports), bitwise")

@@ -143,6 +143,9 @@ def test_analyze_writes_artifacts(trace_path: Path, tmp_path: Path) -> None:
         ("--eps", "0"),
         ("--eps", "1"),
         ("--alpha", "200", "--beta", "100"),
+        # the aggregator's rule: alpha is a packet count of at least 1
+        ("--alpha", "0"),
+        ("--alpha", "-5"),
     ],
 )
 def test_analyze_bad_parameter_is_usage_error(
@@ -326,6 +329,17 @@ def test_bad_flag_value_is_usage_error(
         for trace in (trace_path, tmp_path / "missing.csv"):
             code = run_cli(command, "--trace", str(trace), "--out", str(tmp_path / "o"), *flags)
             assert code == 1, (command, flags)
+    # numpy's generators take no negative seed (run's hash seeds take any int)
+    capsys.readouterr()
+    out = str(tmp_path / "o")
+    for argv, message in (
+        (("generate", "--out", f"{out}/t.csv", "--seed", "-1"), "seed must be >= 0"),
+        (("validate-lemma", "--out", out, "--seed", "-1"), "--seed must be >= 0"),
+        (("analyze", "--trace", str(trace_path), "--out", out, "--pcc-seed", "-1"),
+         "pcc_seed must be >= 0"),
+    ):
+        assert run_cli(*argv) == 1, argv
+        assert capsys.readouterr().err == f"error: {message}\n"
     assert not (tmp_path / "o").exists()
 
 

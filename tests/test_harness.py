@@ -26,7 +26,7 @@ from reordermon.oracle import compute_stats
 from reordermon.sampling import FlowSamplingArray
 from reordermon.traceio import PacketArrays, SynthConfig, generate_synthetic_arrays
 
-from conftest import stats_tables
+from conftest import per_packet_rows, report_rows, stats_tables
 
 
 @pytest.fixture(scope="module")
@@ -167,14 +167,10 @@ def test_collect_reports_paths_agree_for_array(small_workload: PacketArrays) -> 
             )
             fast = collect_reports(small_workload, spec, 16, x, 4)
             ref = detector_class(algo)(detector_params(spec, 16, x, 4))
-            slow = [
-                rep
-                for pkt in small_workload.iter_records()
-                for rep in PER_PACKET[algo](ref, pkt)
-                if rep is not None
-            ]
-            slow.extend(ref.flush())
-            assert fast == slow, (algo, x, reorder_def)
+            slow = per_packet_rows(
+                small_workload.iter_records(), lambda pkt: PER_PACKET[algo](ref, pkt), ref.flush
+            )
+            assert report_rows(fast) == slow, (algo, x, reorder_def)
 
 
 def test_collect_reports_never_runs_per_packet(
@@ -188,7 +184,7 @@ def test_collect_reports_never_runs_per_packet(
     for algo in ("array", "hh", "hybrid"):
         spec = ExperimentSpec(algorithm=algo, bucket_counts=(16,), seeds=(0,))
         for x in spec.fractions:
-            assert collect_reports(small_workload, spec, 16, x, 0)
+            assert len(collect_reports(small_workload, spec, 16, x, 0))
 
 
 def test_analyze_trace_writes_all_artifacts(tmp_path: Path, small_workload: PacketArrays) -> None:

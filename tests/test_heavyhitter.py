@@ -15,10 +15,10 @@ from reordermon.model import (
     SeqState,
     prefix_of,
 )
-from reordermon.reports import Report, ReportSource
+from reordermon.reports import Report, ReportColumns, ReportSource
 from reordermon.traceio import PacketArrays, SynthConfig, generate_synthetic_arrays
 
-from conftest import random_trace, stats_tables
+from conftest import random_trace, report_columns, report_rows, stats_tables
 
 DEF1 = ReorderDef.DEF1_DECREASE
 DEF2 = ReorderDef.DEF2_GAP
@@ -168,18 +168,17 @@ def test_rejected_admission_leaves_table_unchanged() -> None:
 
 def test_flush_threshold_arithmetic() -> None:
     hh = ReorderHeavyHitter(params(n_stages=1, buckets_per_stage=2))
-    assert hh.flush() == []
+    assert report_rows(hh.flush()) == []
     hh._stages[0][0] = HHEntry(FA1, 200, SeqState(0, 100), 200, 1)  # 0.005 <= 0.01
     hh._stages[0][1] = HHEntry(FA2, 200, SeqState(0, 100), 200, 3)  # 0.015 > 0.01
-    reports = hh.flush()
-    assert reports == [Report(Prefix(PREFIX_A), 200, 3, ReportSource.HH_FLUSH)]
+    assert report_rows(hh.flush()) == [(0, PREFIX_A, 200, 3, ReportSource.HH_FLUSH)]
     assert hh.occupied_entries() == 0
 
 
 def test_flush_respects_min_report_packets() -> None:
     hh = ReorderHeavyHitter(params(n_stages=1, buckets_per_stage=1, min_report_packets=16))
     hh._stages[0][0] = HHEntry(FA1, 10, SeqState(0, 100), 10, 5)  # 0.5 > 0.01 but n < 16
-    assert hh.flush() == []
+    assert report_rows(hh.flush()) == []
 
 
 def test_contains_lifecycle() -> None:
@@ -263,13 +262,10 @@ def test_twenty_packet_hand_trace_entry_evolution() -> None:
 def test_determinism() -> None:
     records = random_trace(13, n_packets=1000, n_flows=16, n_prefixes=3)
 
-    def run() -> list:
+    def run() -> tuple[list, list]:
         hh = ReorderHeavyHitter(params(n_stages=2, buckets_per_stage=4, rng_seed=5))
-        out = []
-        for rec in records:
-            out.append(hh.process_packet(rec))
-        out.extend(hh.flush())
-        return out
+        out = [hh.process_packet(rec) for rec in records]
+        return out, report_rows(hh.flush())
 
     assert run() == run()
 
@@ -288,19 +284,23 @@ def test_param_validation() -> None:
 # --- batch path ---------------------------------------------------------------
 
 
-def run_reference(records, p: HHParams):
+def run_reference(records, p: HHParams) -> tuple[ReorderHeavyHitter, ReportColumns]:
+    """The per-packet run and its eviction reports, as columns."""
     hh = ReorderHeavyHitter(p)
-    evictions = [rep for rec in records if (rep := hh.process_packet(rec)[1]) is not None]
-    return hh, evictions
+    emitted = [
+        (i, rep) for i, rec in enumerate(records) if (rep := hh.process_packet(rec)[1]) is not None
+    ]
+    return hh, report_columns(emitted)
 
 
-def assert_batch_matches_reference(records, p: HHParams) -> list[Report]:
+def assert_batch_matches_reference(records, p: HHParams) -> ReportColumns:
     ref, ref_evictions = run_reference(records, p)
     fast = ReorderHeavyHitter(p)
-    assert fast.process_trace(PacketArrays.from_records(records)) == ref_evictions
+    batch = fast.process_trace(PacketArrays.from_records(records))
+    assert report_rows(batch) == report_rows(ref_evictions)
     assert fast.packets_processed == ref.packets_processed
     assert fast._stages == ref._stages
-    assert fast.flush() == ref.flush()
+    assert report_rows(fast.flush()) == report_rows(ref.flush())
     return ref_evictions
 
 
@@ -341,9 +341,9 @@ def test_fast_path_requires_fresh_instance() -> None:
 
 def test_fast_path_empty_trace() -> None:
     hh = ReorderHeavyHitter(params())
-    assert hh.process_trace(PacketArrays.from_records([])) == []
+    assert report_rows(hh.process_trace(PacketArrays.from_records([]))) == []
     assert hh.packets_processed == 0
-    assert hh.flush() == []
+    assert report_rows(hh.flush()) == []
 
 
 @settings(max_examples=40, deadline=None)

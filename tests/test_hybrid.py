@@ -10,7 +10,7 @@ from reordermon.reports import ReportSource
 from reordermon.sampling import FlowSamplingArray, SamplerParams
 from reordermon.traceio import PacketArrays, SynthConfig, generate_synthetic_arrays
 
-from conftest import random_trace
+from conftest import random_trace, report_columns, report_rows
 
 FA1 = FlowId(0x0A000001, 0xAC100001, 443, 10001)
 FA2 = FlowId(0x0A000002, 0xAC100001, 443, 10002)
@@ -30,11 +30,10 @@ def hybrid_params(total: int, x: float, seed: int = 0, **kwargs) -> HybridParams
 
 
 def run_hybrid(records, params: HybridParams):
+    """The per-packet run's reports and its flush, as columns."""
     det = HybridDetector(params)
-    reports = []
-    for rec in records:
-        reports.extend(det.process_packet(rec))
-    return reports, det.flush()
+    emitted = [(i, rep) for i, rec in enumerate(records) for rep in det.process_packet(rec)]
+    return report_columns(emitted), det.flush()
 
 
 def test_bucket_split_arithmetic() -> None:
@@ -89,9 +88,11 @@ def test_x_zero_is_bitwise_the_standalone_array(reorder_def: ReorderDef) -> None
     hybrid_reports, hybrid_flush = run_hybrid(records, params)
 
     standalone = FlowSamplingArray(sampler)
-    solo_reports = [r for rec in records if (r := standalone.process_packet(rec))]
-    assert hybrid_reports == solo_reports
-    assert hybrid_flush == standalone.flush()
+    solo_reports = report_columns(
+        (i, r) for i, rec in enumerate(records) if (r := standalone.process_packet(rec))
+    )
+    assert report_rows(hybrid_reports) == report_rows(solo_reports)
+    assert report_rows(hybrid_flush) == report_rows(standalone.flush())
 
 
 def test_x_one_is_bitwise_the_standalone_hh() -> None:
@@ -108,17 +109,16 @@ def test_x_one_is_bitwise_the_standalone_hh() -> None:
     from dataclasses import replace
 
     standalone = ReorderHeavyHitter(replace(hh, buckets_per_stage=8 // 2))
-    solo_reports = []
-    for rec in records:
-        _, report = standalone.process_packet(rec)
-        if report is not None:
-            solo_reports.append(report)
-    assert hybrid_reports == solo_reports
-    assert hybrid_flush == standalone.flush()
+    solo_reports = report_columns(
+        (i, r) for i, rec in enumerate(records) if (r := standalone.process_packet(rec)[1])
+    )
+    assert report_rows(hybrid_reports) == report_rows(solo_reports)
+    assert report_rows(hybrid_flush) == report_rows(standalone.flush())
 
 
 def test_flush_degenerate_cases() -> None:
-    assert run_hybrid([], hybrid_params(8, 0.5)) == ([], [])
+    reports, flushed = run_hybrid([], hybrid_params(8, 0.5))
+    assert report_rows(reports) == report_rows(flushed) == []
     records = random_trace(2, n_packets=500, n_flows=10, n_prefixes=3)
     # x=0: flush equals the array's flush alone (no HH part)
     params = hybrid_params(8, 0.0, seed=1)
@@ -126,7 +126,7 @@ def test_flush_degenerate_cases() -> None:
     assert det.hh is None
     for rec in records:
         det.process_packet(rec)
-    assert all(r.source.value.startswith("array") for r in det.flush())
+    assert all(source.value.startswith("array") for *_, source in report_rows(det.flush()))
 
 
 def test_access_budget_d_plus_one() -> None:
@@ -195,18 +195,22 @@ def batch_params(
     )
 
 
-def assert_batch_matches_reference(records, params: HybridParams):
+def assert_batch_matches_reference(records, params: HybridParams) -> list[tuple]:
     ref = HybridDetector(params)
-    ref_reports = [rep for rec in records for rep in ref.process_packet(rec)]
+    emitted = [(i, rep) for i, rec in enumerate(records) for rep in ref.process_packet(rec)]
+    ref_reports = report_rows(report_columns(emitted))
     fast = HybridDetector(params)
-    assert fast.process_trace(PacketArrays.from_records(records)) == ref_reports
+    assert report_rows(fast.process_trace(PacketArrays.from_records(records))) == ref_reports
     if ref.hh is not None:
         assert fast.hh.packets_processed == ref.hh.packets_processed
         assert fast.hh._stages == ref.hh._stages
     if ref.array is not None:
         assert fast.array.packets_processed == ref.array.packets_processed
         assert fast.array._buckets == ref.array._buckets
-    assert fast.flush() == ref.flush()
+    flushed = fast.flush()
+    assert report_rows(flushed) == report_rows(ref.flush())
+    # flush reports come at the end of the whole stream, even the array's
+    assert (flushed.trigger == len(records)).all()
     return ref_reports
 
 
@@ -221,7 +225,8 @@ def test_fast_path_matches_reference_on_random_traces(
         records = random_trace(seed, n_packets=2000, n_flows=14, n_prefixes=4)
         for total in (4, 9, 16):
             params = batch_params(total, x, reorder_def, filter_by_prefix, seed + 3)
-            sources.update(rep.source for rep in assert_batch_matches_reference(records, params))
+            rows = assert_batch_matches_reference(records, params)
+            sources.update(source for *_, source in rows)
     expected = set()
     if x > 0.0:
         expected.add(ReportSource.HH_EVICTION)
@@ -253,8 +258,8 @@ def test_fast_path_requires_fresh_instance() -> None:
 def test_fast_path_empty_trace() -> None:
     for x in (0.0, 0.5, 1.0):
         det = HybridDetector(hybrid_params(8, x))
-        assert det.process_trace(PacketArrays.from_records([])) == []
-        assert det.flush() == []
+        assert report_rows(det.process_trace(PacketArrays.from_records([]))) == []
+        assert report_rows(det.flush()) == []
 
 
 @settings(max_examples=40, deadline=None)

@@ -5,11 +5,11 @@ import pytest
 
 from reordermon.hashing import bucket_index
 from reordermon.model import FlowId, PacketRecord, Prefix, ReorderDef, prefix_of
-from reordermon.reports import Report, ReportSource
+from reordermon.reports import Report, ReportColumns, ReportSource
 from reordermon.sampling import FlowSamplingArray, SamplerParams
 from reordermon.traceio import PacketArrays, SynthConfig, generate_synthetic_arrays, group_order
 
-from conftest import random_trace, stats_tables
+from conftest import random_trace, report_columns, report_rows, stats_tables
 
 DEF1 = ReorderDef.DEF1_DECREASE
 DEF2 = ReorderDef.DEF2_GAP
@@ -41,14 +41,11 @@ def find_injective_seed(prefix_bits: list[int], n_buckets: int) -> int:
     raise AssertionError("no injective seed found")
 
 
-def run_reference(records, params: SamplerParams):
+def run_reference(records, params: SamplerParams) -> tuple[FlowSamplingArray, ReportColumns]:
+    """The per-packet run and its eviction reports, as columns."""
     det = FlowSamplingArray(params)
-    evictions = []
-    for rec in records:
-        report = det.process_packet(rec)
-        if report is not None:
-            evictions.append(report)
-    return det, evictions
+    emitted = [(i, rep) for i, rec in enumerate(records) if (rep := det.process_packet(rec))]
+    return det, report_columns(emitted)
 
 
 def assert_batch_matches_reference(records, arrays: PacketArrays, params: SamplerParams):
@@ -56,10 +53,10 @@ def assert_batch_matches_reference(records, arrays: PacketArrays, params: Sample
     the same buckets, so ``flush`` agrees too."""
     ref, ref_evictions = run_reference(records, params)
     fast = FlowSamplingArray(params)
-    assert fast.process_trace(arrays) == ref_evictions
+    assert report_rows(fast.process_trace(arrays)) == report_rows(ref_evictions)
     assert fast.packets_processed == ref.packets_processed
     assert fast._buckets == ref._buckets
-    assert fast.flush() == ref.flush()
+    assert report_rows(fast.flush()) == report_rows(ref.flush())
     return ref_evictions
 
 
@@ -155,29 +152,28 @@ def test_six_packet_hand_trace() -> None:
         n_buckets=2, stale_after=1.0, max_packets=2, report_threshold=1, hash_seed=seed
     )
     det, evictions = run_reference(trace, params)
-    assert evictions == [Report(Prefix(PREFIX_A), 2, 2, ReportSource.ARRAY_EVICTION)]
-    assert det.flush() == []
+    assert report_rows(evictions) == [(3, PREFIX_A, 2, 2, ReportSource.ARRAY_EVICTION)]
+    assert report_rows(det.flush()) == []
 
     report_all = SamplerParams(
         n_buckets=2, stale_after=1.0, max_packets=2, report_threshold=1,
         report_all=True, hash_seed=seed,
     )
     det2, evictions2 = run_reference(trace, report_all)
-    assert evictions2 == evictions
-    assert det2.flush() == [Report(Prefix(PREFIX_B), 1, 0, ReportSource.ARRAY_FLUSH)]
+    assert report_rows(evictions2) == report_rows(evictions)
+    assert report_rows(det2.flush()) == [(6, PREFIX_B, 1, 0, ReportSource.ARRAY_FLUSH)]
 
 
 def test_flush_rules() -> None:
     params = SamplerParams(n_buckets=4, report_threshold=1, hash_seed=0)
     det = FlowSamplingArray(params)
-    assert det.flush() == []  # all buckets empty
+    assert report_rows(det.flush()) == []  # all buckets empty
 
     det.process_packet(pkt(FA1, 1000, 0.0))
     for i, seq in enumerate([900, 800, 1200, 1300, 1400]):
         det.process_packet(pkt(FA1, seq, 0.01 * (i + 1)))
     # n=5, o=2 under DEF1
-    reports = det.flush()
-    assert reports == [Report(Prefix(PREFIX_A), 5, 2, ReportSource.ARRAY_FLUSH)]
+    assert report_rows(det.flush()) == [(6, PREFIX_A, 5, 2, ReportSource.ARRAY_FLUSH)]
     assert det.occupied_buckets() == 0
 
 
@@ -187,7 +183,7 @@ def test_flush_report_all_includes_clean_records() -> None:
     det.process_packet(pkt(FA1, 1000, 0.0))
     for i in range(5):
         det.process_packet(pkt(FA1, 1100 + 100 * i, 0.01 * (i + 1)))
-    assert det.flush() == [Report(Prefix(PREFIX_A), 5, 0, ReportSource.ARRAY_FLUSH)]
+    assert report_rows(det.flush()) == [(6, PREFIX_A, 5, 0, ReportSource.ARRAY_FLUSH)]
 
 
 def test_def3_rejected_and_param_validation() -> None:
@@ -227,7 +223,7 @@ def test_determinism_identical_runs() -> None:
     params = SamplerParams(n_buckets=4, stale_after=1e-4, max_packets=4, hash_seed=7)
     _, first = run_reference(records, params)
     _, second = run_reference(records, params)
-    assert first == second
+    assert report_rows(first) == report_rows(second)
 
 
 def test_lowering_r_never_loses_reports() -> None:
@@ -270,12 +266,11 @@ def test_no_collision_equivalence_small() -> None:
         hash_seed=seed,
     )
     det, evictions = run_reference(records, params)
-    reports = evictions + det.flush()
     totals: dict[Prefix, list[int]] = {}
-    for rep in reports:
-        agg = totals.setdefault(rep.prefix, [0, 0])
-        agg[0] += rep.n
-        agg[1] += rep.o
+    for _, bits, n, o, _ in report_rows(ReportColumns.merge(evictions, det.flush())):
+        agg = totals.setdefault(Prefix(bits), [0, 0])
+        agg[0] += n
+        agg[1] += o
     arrays = PacketArrays.from_records(records)
     _, prefixes = stats_tables(compute_stats(arrays), arrays)
     assert set(totals) == set(prefixes)
@@ -301,8 +296,8 @@ def test_fast_path_matches_reference_on_random_traces(def_: ReorderDef, report_a
                 report_all=report_all,
                 hash_seed=seed + 11,
             )
-            for rep in assert_batch_matches_reference(records, arrays, params):
-                assert 1 <= rep.n and rep.o <= rep.n
+            evictions = assert_batch_matches_reference(records, arrays, params)
+            assert (1 <= evictions.n).all() and (evictions.o <= evictions.n).all()
 
 
 def test_fast_path_matches_reference_on_synthetic() -> None:
@@ -325,8 +320,8 @@ def test_fast_path_requires_fresh_instance() -> None:
 def test_fast_path_empty_trace() -> None:
     det = FlowSamplingArray(SamplerParams(n_buckets=2, hash_seed=0))
     arrays = PacketArrays.from_records([])
-    assert det.process_trace(arrays) == []
-    assert det.flush() == []
+    assert report_rows(det.process_trace(arrays)) == []
+    assert report_rows(det.flush()) == []
 
 
 def test_def2_gap_counts_in_resident_update() -> None:

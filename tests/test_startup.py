@@ -53,6 +53,7 @@ def run_cli(*argv: str) -> tuple[int, set[str]]:
         (("--help",), 0),
         (("validate-lemma", "--help"), 0),
         (("run", "--trace", "t.csv"), 1),  # argparse usage error: --out missing
+        (("run", "--trace", "t.csv", "--mode", "fraction"), 1),
     ],
 )
 def test_help_and_usage_errors_load_no_numpy(argv: tuple[str, ...], code: int) -> None:
