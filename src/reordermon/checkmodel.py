@@ -9,13 +9,14 @@ those assumptions a prefix hashed to bucket b is checked at least
 exponential terms; the simulator measures how often the guarantee holds
 over many trials so the analytic bound can be checked empirically.
 
-The simulator is vectorized within each trial: an exact table over a
-2^12-cell grid of [0, 1) maps draws to flows (a search runs only in the
-few cells a cdf value splits), one stable sort by flow (numpy's radix
-sort below 2^16 flows) gives every check's successor, and a Python loop
-walks those successors, one step per check.  It consumes the seeded draws in the order a per-packet walk does,
-so a seed's results do not depend on the implementation; the test suite
-holds it equal to such a walk.
+The simulator draws checks, not packets.  Packets are i.i.d., so the
+stream has no memory: after a check ends, the next one starts a geometric
+number of positions later, checks a flow drawn in proportion to its
+probability among the eligible flows, and lasts C plus a negative binomial
+number of positions.  Sampling that renewal process directly, in blocks
+vectorized across trials, costs O(checks) instead of O(stream length).  The
+test suite holds its law to a per-packet walk, exactly on tiny models
+(every stream enumerated) and in the per-flow means on the presets.
 
 The real sampler differs on purpose (it does not evict a record that
 exceeds C packets until a collision arrives), so this module is a model
@@ -26,9 +27,12 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
+
+# longest stream a model may ask for: the sampler's int64 positions stay exact
+_MAX_STREAM = 1 << 60
 
 
 def _is_int(value) -> bool:
@@ -71,7 +75,9 @@ class CheckModel:
         for name in ("p_min", "epsilon", "delta"):
             if not _is_real(getattr(self, name)):
                 raise ValueError(f"{name} must be a number")
-        # the chained comparison is False for NaN as well
+        # the chained comparisons are False for NaN as well
+        if not 0.0 <= self.p_min < math.inf:
+            raise ValueError("p_min must be finite and >= 0")
         if not all(_is_real(p) and 0.0 <= p < math.inf for p in self.flow_probs):
             raise ValueError("flow_probs entries must be finite and >= 0")
         n_prefixes = len(self.prefix_bucket)
@@ -87,10 +93,33 @@ class CheckModel:
             raise ValueError("epsilon and delta must lie in (0, 1)")
         if self.packets_per_check < 1:
             raise ValueError("packets_per_check must be >= 1")
-        if self.stream_length < 1:
-            raise ValueError("stream_length must be >= 1")
+        if not 1 <= self.stream_length <= _MAX_STREAM:
+            raise ValueError("stream_length must lie in [1, 2**60]")
         if self.prefix_bucket[self.target_prefix] != self.bucket:
             raise ValueError("target_prefix is not assigned to the studied bucket")
+        bucket_mass = sum(
+            p
+            for p, prefix in zip(self.flow_probs, self.flow_prefix)
+            if self.prefix_bucket[prefix] == self.bucket
+        )
+        if bucket_mass == 0.0:
+            raise ValueError("the studied bucket carries no probability mass")
+
+    @classmethod
+    def from_dict(cls, raw: dict) -> CheckModel:
+        """A model from a decoded JSON object whose keys are exactly the
+        field names; the three per-flow/per-prefix fields are lists."""
+        names = [f.name for f in fields(cls)]
+        missing = [name for name in names if name not in raw]
+        if missing:
+            raise ValueError("missing key(s): " + ", ".join(missing))
+        unknown = sorted(raw.keys() - set(names))
+        if unknown:
+            raise ValueError("unknown key(s): " + ", ".join(unknown))
+        for key in ("flow_probs", "flow_prefix", "prefix_bucket"):
+            if not isinstance(raw[key], list):
+                raise ValueError(f"{key} must be a list")
+        return cls(**{k: tuple(v) if isinstance(v, list) else v for k, v in raw.items()})
 
     # --- derived quantities --------------------------------------------------
 
@@ -150,88 +179,81 @@ class CheckModel:
         return term1 + term2 + term3
 
 
-# cells of the exact flow lookup; a power of two, so u * _GRID is exact
-_GRID = 1 << 12
-
-
-def _flow_lookup(cdf: np.ndarray, flow_type: np.dtype) -> tuple[np.ndarray, np.ndarray]:
-    """The flow of each grid cell of [0, 1), and the cells that need a search.
-
-    ``searchsorted(cdf, u, side="right")`` takes one value for every u in
-    cell k = floor(u * _GRID), unless a cdf value lies strictly inside the
-    cell; such a cell is mixed.  A cdf value on a cell edge splits nothing.
-    An unsorted cdf (from rounding that leaves an entry above the final
-    1.0; negative probabilities are rejected) makes every cell mixed: numpy's
-    search over it depends on the order of the keys, so it must see every
-    draw, in stream order.
-    """
-    table = np.searchsorted(cdf, np.arange(_GRID) / _GRID, side="right").astype(flow_type)
-    mixed = np.zeros(_GRID, dtype=bool)
-    if np.any(np.diff(cdf) < 0):
-        mixed[:] = True
-    else:
-        inside = cdf[(cdf > 0.0) & (cdf < 1.0)] * _GRID
-        mixed[inside[inside != np.floor(inside)].astype(np.intp)] = True
-    return table, mixed
+# candidate checks drawn per numpy call, whatever the trial count or
+# stream length: enough to amortize the call, few enough to stay in cache
+_BLOCK = 4096
+# spans are capped at stream_length + 1, and one row of a block sums at most
+# this much of them, so the int64 check ends never overflow
+_SPAN_ROOM = 1 << 62
+# numpy's Poisson sampler takes no larger mean; a tail this long never
+# completes, since stream_length <= _MAX_STREAM
+_LAM_CAP = float(1 << 62)
 
 
 def simulate_flow_checks(model: CheckModel, trials: int, seed: int = 0) -> np.ndarray:
     """Per-trial, per-flow check counts (shape: trials x flows).
 
-    Each trial draws ``stream_length`` i.i.d. packets, then walks the
-    stream: the first packet of an eligible flow starts a check of that
-    flow, which completes once ``packets_per_check`` more of its packets
+    The process is the per-packet walk over ``stream_length`` i.i.d.
+    packets: the first packet of an eligible flow starts a check of that
+    flow, which completes once ``packets_per_check`` (C) more of its packets
     arrive; the next eligible packet after completion starts the next
-    check.
+    check.  Only completed checks count.
 
-    A check ends on a packet of its own, eligible flow, so the walk never
-    needs an ineligible packet: on the eligible substream, the check that
-    starts at index r ends at the C-th next packet of r's flow, and the next
-    check starts one index later.  Those successors come from one stable
-    sort by flow per trial; only the walk along them is a Python loop, one
-    step per check.  Draws are consumed exactly as by a per-packet walk
-    (one ``rng.random(stream_length)`` per trial, in trial order), so a
-    seed gives the same matrix.
+    Packets are i.i.d., so after each check's end the stream starts afresh,
+    and the sampler draws whole checks instead of packets: the next check
+    starts Geometric(q) positions after the last end (q the eligible
+    probability mass; the first start is at Geometric(q) - 1), checks a
+    flow f drawn in proportion to p_f among the eligible flows, and ends
+    C + NegBin(C, p_f) positions after its start, where NegBin counts the
+    other packets before f's C-th.  A check counts if it ends at a position
+    <= stream_length - 1.  The work is O(checks), not O(stream_length).
+
+    Candidate checks are drawn in blocks of about ``_BLOCK``, vectorized
+    across the unfinished trials.  The law is that of the per-packet walk
+    (the test suite compares the two); a seed fixes the matrix, but it is
+    not the walk's sample for that seed.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
     rng = np.random.default_rng(seed)
-    probs = np.asarray(model.flow_probs)
-    n_flows = len(probs)
-    cdf = np.cumsum(probs)
-    cdf[-1] = 1.0
+    probs = np.asarray(model.flow_probs, dtype=float)
     _, eligible = model._masks()
-    all_eligible = bool(eligible.all())
+    out = np.zeros((trials, len(probs)), dtype=np.int64)
+    # a zero-probability flow never sends the packet that would start a check
+    flows = np.flatnonzero(eligible & (probs > 0.0))
+    L = model.stream_length
     C = model.packets_per_check
-    # holds every search result 0..n_flows; up to 16 bits, the stable
-    # argsort below is numpy's radix sort
-    table, mixed = _flow_lookup(cdf, np.min_scalar_type(n_flows))
-
-    out = np.zeros((trials, n_flows), dtype=np.int64)
-    for trial in range(trials):
-        u = rng.random(model.stream_length)
-        cell = (u * _GRID).astype(np.intp)
-        draws = table[cell]
-        slow = np.flatnonzero(mixed[cell])
-        if slow.size:
-            draws[slow] = np.searchsorted(cdf, u[slow], side="right")
-        if not all_eligible:
-            draws = draws[eligible[draws]]
-        n = draws.size
-        order = np.argsort(draws, kind="stable")
-        flows = draws[order]
-        # succ[r]: where the next check starts after the one starting at r,
-        # or n + 1 if the stream ends before that check completes
-        succ = np.full(n, n + 1)
-        succ[order[:-C]] = np.where(flows[C:] == flows[:-C], order[C:] + 1, n + 1)
-        chain = []
-        r = 0
-        while r < n:
-            chain.append(r)
-            r = succ[r]
-        if r > n:
-            chain.pop()  # the last check never completed
-        out[trial] = np.bincount(draws[chain], minlength=n_flows)
+    if flows.size == 0 or C >= L:  # a check needs C + 1 packets
+        return out
+    p = probs[flows]
+    q = min(1.0, p.sum() / probs.sum())
+    cdf = np.cumsum(p) / p.sum()
+    cdf[-1] = 1.0
+    # NegBin(C, p) is Poisson(Gamma(C) * (1 - p) / p), as numpy draws it; numpy's
+    # own negative_binomial refuses p below ~1e-18
+    with np.errstate(over="ignore"):  # an infinite ratio is capped below
+        odds = (1.0 - p) / p
+    cap = L + 1  # a longer span cannot end inside the stream
+    # positions left after each trial's last completed check
+    room = np.full(trials, L, dtype=np.int64)
+    active = np.arange(trials)
+    while active.size:
+        rows = active[:_BLOCK]
+        m = rows.size
+        k = max(1, min(_BLOCK // m, _SPAN_ROOM // cap))
+        pick = np.searchsorted(cdf, rng.random((m, k)), side="right")
+        with np.errstate(over="ignore"):  # inf is capped
+            lam = np.minimum(rng.standard_gamma(C, (m, k)) * odds[pick], _LAM_CAP)
+        # geometric saturates at the int64 maximum for tiny q
+        span = np.minimum(rng.geometric(q, (m, k)), cap) + C + np.minimum(rng.poisson(lam), cap)
+        ends = np.cumsum(np.minimum(span, cap), axis=1)
+        # spans are >= 1, so each row's fitting checks are a prefix
+        fits = ends <= room[rows, None]
+        n_fit = fits.sum(axis=1)
+        np.add.at(out, (np.repeat(rows, n_fit), flows[pick[fits]]), 1)
+        room[rows] -= np.where(n_fit > 0, ends[np.arange(m), n_fit - 1], 0)
+        # a trial whose block ran past the stream's end is finished
+        active = np.concatenate((rows[n_fit == k], active[_BLOCK:]))
     return out
 
 

@@ -341,21 +341,10 @@ def _cmd_validate_lemma(args: argparse.Namespace) -> int:
         raw = json.loads(Path(args.model).read_text(encoding="ascii"))
         if not isinstance(raw, dict):
             raise ValueError(f"{args.model}: expected a JSON object")
-        for key in ("flow_probs", "flow_prefix", "prefix_bucket"):
-            if not isinstance(raw[key], list):
-                raise ValueError(f"{key} must be a list")
-        models["model"] = CheckModel(
-            flow_probs=tuple(raw["flow_probs"]),
-            flow_prefix=tuple(raw["flow_prefix"]),
-            prefix_bucket=tuple(raw["prefix_bucket"]),
-            bucket=raw["bucket"],
-            target_prefix=raw["target_prefix"],
-            p_min=raw["p_min"],
-            packets_per_check=raw["packets_per_check"],
-            stream_length=raw["stream_length"],
-            epsilon=raw["epsilon"],
-            delta=raw["delta"],
-        )
+        try:
+            models["model"] = CheckModel.from_dict(raw)
+        except ValueError as exc:
+            raise ValueError(f"{args.model}: {exc}") from exc
     else:
         presets = check_model_presets()
         name = values["preset"]
@@ -463,7 +452,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     # a malformed trace (TraceFormatError) or model file is a ValueError
-    except (FileNotFoundError, IsADirectoryError, ValueError, KeyError) as exc:
+    except (FileNotFoundError, IsADirectoryError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -1,12 +1,18 @@
 from __future__ import annotations
 
+import bisect
+import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from reordermon.checkmodel import (
+    _BLOCK,
+    _LAM_CAP,
+    _SPAN_ROOM,
     CheckModel,
     check_model_presets,
     empirical_guarantee,
@@ -119,6 +125,11 @@ def test_model_rejects_bad_flow_probs(probs: tuple) -> None:
         ("flow_prefix", (1,)),
         ("target_prefix", -1),
         ("epsilon", "0.5"),
+        ("stream_length", 2**60 + 1),
+        ("p_min", math.nan),
+        ("p_min", math.inf),
+        ("p_min", -math.inf),
+        ("p_min", -0.1),
     ],
 )
 def test_model_rejects_bad_field_values(field: str, value) -> None:
@@ -129,6 +140,12 @@ def test_model_rejects_bad_field_values(field: str, value) -> None:
     fields[field] = value
     with pytest.raises(ValueError, match=field):
         CheckModel(**fields)
+
+
+def test_model_rejects_a_bucket_without_mass() -> None:
+    # prefix 1 is alone in bucket 1, and its only flow never sends a packet
+    with pytest.raises(ValueError, match="bucket"):
+        CheckModel((1.0, 0.0), (0, 1), (0, 1), 1, 1, 0.0, 4, 100, 0.5, 0.5)
 
 
 def test_presets_have_usable_bounds() -> None:
@@ -189,50 +206,180 @@ def test_flow_checks_matrix_shape() -> None:
     assert np.all(matrix >= 0)
 
 
-# --- the vectorized walk against a per-packet reference ------------------------
+# --- the check-level sampler against the per-packet walk ------------------------
+
+
+def walk_checks(draws: np.ndarray, eligible: np.ndarray, c: int) -> np.ndarray:
+    """Per-flow checks of one stream (an array of flow ids), walked packet
+    by packet: the first packet of an eligible flow starts a check of that
+    flow, which completes at its flow's C-th next packet; the next eligible
+    packet after that starts the next check."""
+    n_flows = len(eligible)
+    checks = np.zeros(n_flows, dtype=np.int64)
+    order = np.argsort(draws, kind="stable")
+    offsets = np.zeros(n_flows + 1, dtype=np.int64)
+    np.cumsum(np.bincount(draws, minlength=n_flows), out=offsets[1:])
+    positions = [order[offsets[f] : offsets[f + 1]].tolist() for f in range(n_flows)]
+    elig_pos = np.flatnonzero(eligible[draws]).tolist()
+    if not elig_pos:
+        return checks
+    i = elig_pos[0]
+    while True:
+        f = int(draws[i])
+        pos_f = positions[f]
+        rank = bisect.bisect_left(pos_f, i)
+        if rank + c >= len(pos_f):
+            return checks  # the stream ends before the check completes
+        end = pos_f[rank + c]
+        checks[f] += 1
+        nxt = bisect.bisect_right(elig_pos, end)
+        if nxt >= len(elig_pos):
+            return checks
+        i = elig_pos[nxt]
 
 
 def reference_flow_checks(model: CheckModel, trials: int, seed: int = 0) -> np.ndarray:
-    """The per-packet walk: each check looks up its flow's packet positions
-    and searches them for its end, then searches for the next eligible packet."""
+    """The per-packet walk over ``trials`` streams of i.i.d. packets."""
     rng = np.random.default_rng(seed)
     probs = np.asarray(model.flow_probs)
-    n_flows = len(probs)
     cdf = np.cumsum(probs)
     cdf[-1] = 1.0
     _, eligible = model._masks()
-    C = model.packets_per_check
-
-    out = np.zeros((trials, n_flows), dtype=np.int64)
+    # small flow ids: the walk's stable argsort is numpy's radix sort
+    flow_type = np.min_scalar_type(len(probs))
+    out = np.zeros((trials, len(probs)), dtype=np.int64)
     for trial in range(trials):
-        draws = np.searchsorted(cdf, rng.random(model.stream_length), side="right")
-        order = np.argsort(draws, kind="stable")
-        counts = np.bincount(draws, minlength=n_flows)
-        offsets = np.zeros(n_flows + 1, dtype=np.int64)
-        np.cumsum(counts, out=offsets[1:])
-        elig_pos = np.flatnonzero(eligible[draws])
-        if elig_pos.size == 0:
-            continue
-        checks = out[trial]
-        i = int(elig_pos[0])
-        while True:
-            f = draws[i]
-            pos_f = order[offsets[f] : offsets[f + 1]]
-            rank = int(np.searchsorted(pos_f, i))
-            if rank + C >= len(pos_f):
-                break  # stream ends before the check completes
-            end = int(pos_f[rank + C])
-            checks[f] += 1
-            nxt = int(np.searchsorted(elig_pos, end, side="right"))
-            if nxt >= len(elig_pos):
-                break
-            i = int(elig_pos[nxt])
+        u = rng.random(model.stream_length)
+        draws = np.searchsorted(cdf, u, side="right").astype(flow_type)
+        out[trial] = walk_checks(draws, eligible, model.packets_per_check)
+    return out
+
+
+def exact_law(model: CheckModel) -> dict[tuple[int, ...], float]:
+    """The exact law of the per-flow check counts: every stream walked."""
+    probs = model.flow_probs
+    _, eligible = model._masks()
+    law: dict[tuple[int, ...], float] = {}
+    for stream in itertools.product(range(len(probs)), repeat=model.stream_length):
+        weight = math.prod(probs[f] for f in stream)
+        counts = tuple(walk_checks(np.array(stream), eligible, model.packets_per_check).tolist())
+        law[counts] = law.get(counts, 0.0) + weight
+    return law
+
+
+def tiny_model(
+    probs: tuple[float, ...], c: int, stream_length: int, p_min: float = 0.0,
+    prefix_bucket: tuple[int, ...] | None = None,
+) -> CheckModel:
+    """One flow per prefix, every prefix in bucket 0 unless told otherwise."""
+    return CheckModel(
+        flow_probs=probs,
+        flow_prefix=tuple(range(len(probs))),
+        prefix_bucket=prefix_bucket or (0,) * len(probs),
+        bucket=0,
+        target_prefix=0,
+        p_min=p_min,
+        packets_per_check=c,
+        stream_length=stream_length,
+        epsilon=0.5,
+        delta=0.5,
+    )
+
+
+@pytest.mark.parametrize(
+    "model",
+    [
+        # the 0.2 flow is ineligible: 0.2 < p_min
+        tiny_model((0.5, 0.3, 0.2), c=2, stream_length=9, p_min=0.25),
+        tiny_model((0.6, 0.4), c=1, stream_length=12),
+        # the 0.25 flow hashes to another bucket
+        tiny_model((0.45, 0.3, 0.25), c=2, stream_length=9, prefix_bucket=(0, 0, 1)),
+    ],
+    ids=["ineligible-flow", "two-flows", "other-bucket"],
+)
+def test_sampler_law_matches_enumerated_walk(model: CheckModel) -> None:
+    # an off-by-one start or end moves this distance to ~0.1
+    law = exact_law(model)
+    assert math.isclose(sum(law.values()), 1.0)
+    sample = simulate_flow_checks(model, trials=200_000, seed=12)
+    outcomes, counts = np.unique(sample, axis=0, return_counts=True)
+    observed = {tuple(row.tolist()): n / len(sample) for row, n in zip(outcomes, counts)}
+    distance = 0.5 * sum(
+        abs(law.get(key, 0.0) - observed.get(key, 0.0)) for key in law.keys() | observed.keys()
+    )
+    assert distance <= 0.02
+
+
+@pytest.mark.parametrize("name", sorted(check_model_presets()))
+def test_preset_means_match_reference(name: str) -> None:
+    model = check_model_presets()[name]
+    trials = 2_000
+    fast = simulate_flow_checks(model, trials, seed=31)
+    ref = reference_flow_checks(model, trials, seed=32)
+    assert fast.shape == ref.shape and fast.dtype == ref.dtype == np.int64
+    stderr = np.sqrt((fast.var(axis=0) + ref.var(axis=0)) / trials)
+    diff = np.abs(fast.mean(axis=0) - ref.mean(axis=0))
+    assert np.all((diff <= 4 * stderr) | (diff == 0)), (diff, stderr)
+
+
+# --- the vectorized sampler against a scalar transcription of it ----------------
+
+
+def renewal_reference_flow_checks(model: CheckModel, trials: int, seed: int = 0) -> np.ndarray:
+    """The renewal process of checks, walked one candidate check at a time
+    in Python integers, with no span capped: from the last end (-1 at the
+    start) the next check starts a geometric gap later and ends C plus a
+    negative binomial count of positions after its start; it counts if it
+    ends at a position <= stream_length - 1.  It makes the sampler's numpy
+    draws in the same order for the same blocks of trials, so a seed gives
+    both the same matrix."""
+    rng = np.random.default_rng(seed)
+    probs = np.asarray(model.flow_probs, dtype=float)
+    _, eligible = model._masks()
+    out = np.zeros((trials, len(probs)), dtype=np.int64)
+    flows = np.flatnonzero(eligible & (probs > 0.0)).tolist()
+    L = model.stream_length
+    C = model.packets_per_check
+    if not flows or C >= L:
+        return out
+    p = probs[flows]
+    q = min(1.0, p.sum() / probs.sum())
+    cdf = np.cumsum(p) / p.sum()
+    cdf[-1] = 1.0
+    cdf = cdf.tolist()
+    p = p.tolist()
+    last_end = [-1] * trials
+    queue = list(range(trials))
+    while queue:
+        rows, queue = queue[:_BLOCK], queue[_BLOCK:]
+        k = max(1, min(_BLOCK // len(rows), _SPAN_ROOM // (L + 1)))
+        u = rng.random((len(rows), k)).tolist()
+        picks = [[bisect.bisect_right(cdf, x) for x in row] for row in u]
+        gamma = rng.standard_gamma(C, (len(rows), k)).tolist()
+        # NegBin(C, p) drawn as Poisson(Gamma(C) * (1 - p) / p)
+        lam = [
+            [min(g * ((1.0 - p[f]) / p[f]), _LAM_CAP) for g, f in zip(g_row, f_row)]
+            for g_row, f_row in zip(gamma, picks)
+        ]
+        gaps = rng.geometric(q, (len(rows), k)).tolist()
+        extra = rng.poisson(lam).tolist()
+        going_on = []
+        for trial, f_row, gap_row, extra_row in zip(rows, picks, gaps, extra):
+            for f, gap, more in zip(f_row, gap_row, extra_row):
+                end = last_end[trial] + gap + C + more
+                if end > L - 1:
+                    break
+                out[trial, flows[f]] += 1
+                last_end[trial] = end
+            else:
+                going_on.append(trial)
+        queue = going_on + queue
     return out
 
 
 def assert_matches_reference(model: CheckModel, trials: int, seed: int) -> None:
     fast = simulate_flow_checks(model, trials, seed)
-    ref = reference_flow_checks(model, trials, seed)
+    ref = renewal_reference_flow_checks(model, trials, seed)
     assert fast.dtype == ref.dtype == np.int64
     assert np.array_equal(fast, ref)
 
@@ -246,33 +393,11 @@ def test_presets_match_reference(name: str, trials: int, seed: int) -> None:
     assert_matches_reference(check_model_presets()[name], trials, seed)
 
 
-def small_model(probs: tuple[float, ...], c: int = 2, stream_length: int = 300) -> CheckModel:
-    return CheckModel(
-        flow_probs=probs,
-        flow_prefix=tuple(range(len(probs))),
-        prefix_bucket=(0,) * len(probs),
-        bucket=0,
-        target_prefix=0,
-        p_min=0.0,
-        packets_per_check=c,
-        stream_length=stream_length,
-        epsilon=0.5,
-        delta=0.5,
-    )
-
-
 def test_unsorted_cdf_matches_reference() -> None:
-    # rounding that leaves one or more entries above the final 1.0 makes the
-    # cumulative distribution unsorted; numpy's search over an unsorted
-    # array depends on the order of its keys
+    # probabilities that sum a little above 1 leave the sampler's eligible
+    # cdf sorted: it is normalized by the eligible mass, its last entry 1.0
     for probs in ((0.2, 0.8 + 5e-10, 0.0, 0.0, 0.0), (0.5, 0.5 + 4e-10, 0.0)):
-        assert_matches_reference(small_model(probs), trials=5, seed=9)
-
-
-def test_cdf_values_in_first_and_last_grid_cell_match_reference() -> None:
-    # 0.0001 and 0.9999 lie inside the lookup grid's first and last cells
-    model = small_model((0.0001, 0.9998, 0.0001), c=1, stream_length=20_000)
-    assert_matches_reference(model, trials=3, seed=4)
+        assert_matches_reference(tiny_model(probs, c=2, stream_length=300), trials=5, seed=9)
 
 
 def random_model(
@@ -285,9 +410,9 @@ def random_model(
     stream_length: int,
 ) -> CheckModel:
     """A small random model.  With ``dyadic_bits`` set, the probabilities
-    are multiples of 2**-dyadic_bits summing to exactly 1, so every cdf
-    value sits on an edge of the simulator's 2**12-cell lookup grid when
-    dyadic_bits <= 12; otherwise they are integer weights over their sum."""
+    are multiples of 2**-dyadic_bits summing to exactly 1, so the eligible
+    cdf holds exact ties and zero-width steps; otherwise they are integer
+    weights over their sum."""
     gen = np.random.default_rng(layout_seed)
     if dyadic_bits is None:
         weights = gen.integers(0, 5, n_flows)
@@ -318,7 +443,6 @@ def random_model(
 @settings(max_examples=60, deadline=None)
 @given(
     layout_seed=st.integers(0, 2**32 - 1),
-    # up to 255 flows the walk sorts uint8 flow ids, from 256 on uint16
     n_flows=st.one_of(st.integers(1, 12), st.integers(250, 300)),
     dyadic_bits=st.sampled_from([None, 0, 4, 12, 13, 16]),
     n_prefixes=st.integers(1, 6),
@@ -329,7 +453,7 @@ def random_model(
     trials=st.integers(1, 3),
     seed=st.integers(0, 10_000),
 )
-# cdf values on grid edges, with more than 255 flows
+# dyadic probabilities, with more than 255 flows
 @example(0, 300, 4, 4, 0.0, 1, 400, 2, 0)
 @example(8, 256, 4, 5, 0.05, 1, 400, 2, 1)
 # no eligible flow
@@ -351,6 +475,59 @@ def test_simulation_matches_reference_property(
 ) -> None:
     model = random_model(layout_seed, n_flows, dyadic_bits, n_prefixes, p_min, c, stream_length)
     assert_matches_reference(model, trials, seed)
+
+
+def test_no_eligible_flow_gives_zeros() -> None:
+    model = tiny_model((0.5, 0.3, 0.2), c=2, stream_length=500, p_min=1.5)
+    assert model.eligible_flow_count == 0
+    assert not simulate_flow_checks(model, trials=20, seed=0).any()
+
+
+@pytest.mark.parametrize("stream_length", [1, 4, 5])
+def test_stream_no_longer_than_c_gives_zeros(stream_length: int) -> None:
+    model = tiny_model((0.6, 0.4), c=5, stream_length=stream_length)
+    assert not simulate_flow_checks(model, trials=50, seed=1).any()
+
+
+def test_stream_of_c_plus_one_packets_completes_at_most_one_check() -> None:
+    model = tiny_model((1.0,), c=5, stream_length=6)
+    assert np.all(simulate_flow_checks(model, trials=10, seed=1) == 1)
+
+
+def test_zero_probability_eligible_flow_is_never_checked() -> None:
+    model = tiny_model((0.0, 0.6, 0.0, 0.4), c=2, stream_length=400)
+    assert model.eligible_flow_count == 4
+    counts = simulate_flow_checks(model, trials=500, seed=2)
+    assert not counts[:, [0, 2]].any()
+    assert counts[:, [1, 3]].all()
+
+
+@pytest.mark.parametrize(
+    "probs,prefix_bucket,stream_length",
+    [
+        # the only flow of the studied bucket is tiny: q is tiny as well
+        ((1e-300, 1.0), (0, 1), 10**6),
+        ((1e-300, 1.0), (0, 1), 2**60),
+        # a tiny eligible flow next to a heavy one
+        ((1e-300, 1.0), (0, 0), 5_000),
+    ],
+)
+def test_tiny_eligible_flow_raises_and_overflows_nothing(
+    probs: tuple[float, ...], prefix_bucket: tuple[int, ...], stream_length: int
+) -> None:
+    model = tiny_model(probs, c=3, stream_length=stream_length, prefix_bucket=prefix_bucket)
+    with warnings.catch_warnings(), np.errstate(all="raise"):
+        warnings.simplefilter("error")
+        counts = simulate_flow_checks(model, trials=200, seed=3)
+    assert not counts[:, 0].any()
+    assert np.all(counts[:, 1] == (stream_length // 4 if prefix_bucket == (0, 0) else 0))
+
+
+def test_same_seed_gives_same_matrix() -> None:
+    model = check_model_presets()["one-heavy"]
+    first = simulate_flow_checks(model, trials=40, seed=5)
+    assert np.array_equal(first, simulate_flow_checks(model, trials=40, seed=5))
+    assert not np.array_equal(first, simulate_flow_checks(model, trials=40, seed=6))
 
 
 @pytest.mark.parametrize("trials", [0, -3])

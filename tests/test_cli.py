@@ -217,6 +217,10 @@ def test_validate_lemma_model_file(tmp_path: Path) -> None:
         ("flow_probs", [1.5, -0.5]),
         ("flow_probs", 1.0),
         ("flow_prefix", 0),
+        ("p_min", float("nan")),
+        ("p_min", float("inf")),
+        ("p_min", float("-inf")),
+        ("p_min", -0.5),
     ],
 )
 def test_validate_lemma_bad_model_file_is_data_error(
@@ -241,6 +245,41 @@ def test_validate_lemma_bad_model_file_is_data_error(
     path.write_text(json.dumps(model))
     assert run_cli("validate-lemma", "--model", str(path), "--trials", "5") == 2
     assert field in capsys.readouterr().err
+
+
+LEMMA_MODEL = {
+    "flow_probs": [0.5, 0.5],
+    "flow_prefix": [0, 1],
+    "prefix_bucket": [0, 1],
+    "bucket": 0,
+    "target_prefix": 0,
+    "p_min": 0.0,
+    "packets_per_check": 4,
+    "stream_length": 200,
+    "epsilon": 0.5,
+    "delta": 0.5,
+}
+
+
+@pytest.mark.parametrize(
+    "change,message",
+    [
+        ({"bucket": None}, "missing key(s): bucket"),
+        ({"p_min": None, "delta": None}, "missing key(s): p_min, delta"),
+        ({"buckets": 1}, "unknown key(s): buckets"),
+    ],
+)
+def test_validate_lemma_model_keys_are_checked(
+    change: dict, message: str, tmp_path: Path, capsys: pytest.CaptureFixture
+) -> None:
+    model = {**LEMMA_MODEL, **change}
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps({k: v for k, v in model.items() if v is not None}))
+    out = tmp_path / "lemma"
+    assert run_cli("validate-lemma", "--model", str(path), "--trials", "5", "--out", str(out)) == 2
+    captured = capsys.readouterr()
+    assert f"error: {path}: " in captured.err and message in captured.err
+    assert captured.out == "" and not out.exists()
 
 
 def test_validate_lemma_model_file_not_an_object_is_data_error(
