@@ -39,38 +39,7 @@ _SOURCES = {
 }
 _MODULE_OF = {name: module for module, names in _SOURCES.items() for name in names}
 
-__all__ = [
-    "AggregatorMode",
-    "AggregatorParams",
-    "BucketRecord",
-    "FlowId",
-    "FlowSamplingArray",
-    "GroundTruth",
-    "HHEntry",
-    "HHParams",
-    "HybridDetector",
-    "HybridParams",
-    "PacketArrays",
-    "PacketRecord",
-    "Prefix",
-    "ReorderDef",
-    "ReorderHeavyHitter",
-    "Report",
-    "ReportAggregator",
-    "ReportColumns",
-    "ReportSource",
-    "SamplerParams",
-    "SeqState",
-    "SynthConfig",
-    "TraceMeta",
-    "TraceStats",
-    "compute_stats",
-    "generate_synthetic_arrays",
-    "ground_truth",
-    "is_out_of_order",
-    "parse_trace",
-    "prefix_of",
-]
+__all__ = sorted(_MODULE_OF)
 
 
 def __getattr__(name: str):

@@ -16,7 +16,7 @@ import numpy as np
 
 from .controlplane import AggregatorMode, AggregatorParams, ReportAggregator
 from .metrics import EvalResult, accuracy, communication_overhead, false_positive_rate
-from .model import DEF_BY_NUMBER, Prefix, ReorderDef
+from .model import Prefix, ReorderDef
 from .oracle import (
     TraceStats,
     UndefinedCorrelationError,
@@ -35,7 +35,6 @@ if TYPE_CHECKING:
     from .hybrid import HybridParams
     from .sampling import SamplerParams
 
-NUMBER_BY_DEF = {v: k for k, v in DEF_BY_NUMBER.items()}
 ALGORITHMS = ("array", "hh", "hybrid")
 
 
@@ -117,50 +116,66 @@ def detector_class(algorithm: str) -> type:
     return HybridDetector
 
 
+# Each table maps an ExperimentSpec field to the parameter field it sets.
+# The builders below read them, and so does DETECTOR_FIELDS, the spec fields
+# each algorithm reads: the CLI refuses an option its detector does not read.
+SAMPLER_FIELDS = {
+    "stale_after": "stale_after",
+    "max_packets": "max_packets",
+    "report_threshold": "report_threshold",
+    "reorder_def": "reorder_def",
+    "report_all": "report_all",
+}
+HH_FIELDS = {
+    "hh_stages": "n_stages",
+    "hh_report_fraction": "report_fraction",
+    "min_report_packets": "min_report_packets",
+    "reorder_def": "reorder_def",
+}
+HYBRID_FIELDS = {"filter_by_prefix": "filter_by_prefix"}
+AGGREGATOR_FIELDS = {"alpha": "min_packets", "eps": "eps", "scale_c": "scale", "mode": "mode"}
+DETECTOR_FIELDS = {
+    "array": frozenset(SAMPLER_FIELDS),
+    "hh": frozenset(HH_FIELDS),
+    "hybrid": frozenset({*SAMPLER_FIELDS, *HH_FIELDS, *HYBRID_FIELDS, "hh_fractions"}),
+}
+
+
+def _from_spec(spec: ExperimentSpec, table: dict[str, str]) -> dict:
+    return {param: getattr(spec, field) for field, param in table.items()}
+
+
 def sampler_params(spec: ExperimentSpec, buckets: int, seed: int) -> SamplerParams:
     from .sampling import SamplerParams
 
-    return SamplerParams(
-        n_buckets=buckets,
-        stale_after=spec.stale_after,
-        max_packets=spec.max_packets,
-        report_threshold=spec.report_threshold,
-        reorder_def=spec.reorder_def,
-        report_all=spec.report_all,
-        hash_seed=seed,
-    )
+    return SamplerParams(n_buckets=buckets, hash_seed=seed, **_from_spec(spec, SAMPLER_FIELDS))
 
 
 def hh_params(spec: ExperimentSpec, buckets_per_stage: int, seed: int) -> HHParams:
     from .heavyhitter import HHParams
 
     return HHParams(
-        n_stages=spec.hh_stages,
         buckets_per_stage=buckets_per_stage,
-        report_fraction=spec.hh_report_fraction,
-        min_report_packets=spec.min_report_packets,
-        reorder_def=spec.reorder_def,
         hash_seed=seed,
         rng_seed=seed,
+        **_from_spec(spec, HH_FIELDS),
     )
-
-
-# The algorithm-specific ExperimentSpec fields each detector reads, as
-# detector_params builds it: the array the sampler fields, the HH table the
-# HH fields, and the hybrid both and its own two.
-_SAMPLER_FIELDS = frozenset({"stale_after", "max_packets", "report_threshold", "report_all"})
-_HH_FIELDS = frozenset({"hh_stages", "hh_report_fraction", "min_report_packets"})
-DETECTOR_FIELDS = {
-    "array": _SAMPLER_FIELDS,
-    "hh": _HH_FIELDS,
-    "hybrid": _SAMPLER_FIELDS | _HH_FIELDS | {"hh_fractions", "filter_by_prefix"},
-}
 
 
 def detector_params(
     spec: ExperimentSpec, buckets: int, hh_fraction: float, seed: int
 ) -> SamplerParams | HHParams | HybridParams:
-    """Parameters of the ``spec.algorithm`` detector at one configuration."""
+    """Parameters of the ``spec.algorithm`` detector at one configuration.
+
+    The only place where a budget of B buckets becomes sizes.  The array
+    gets all B, the HH table (d stages) B // d per stage.  The hybrid gives
+    floor(x*B) buckets to its HH table, floored to a multiple of d, and the
+    rest, B - floor(x*B), to its array.  The up to d-1 HH buckets that the
+    flooring leaves over go unused, not to the array, so a split can run on
+    fewer than B buckets (B=1024, d=2: x = 0.3, 0.4, 0.8 and 0.9 each lose
+    one).  A split with no room for either structure is an error; one with
+    room for a single structure builds only that one.
+    """
     if spec.algorithm == "array":
         return sampler_params(spec, buckets, seed)
     if spec.algorithm == "hh":
@@ -173,26 +188,30 @@ def detector_params(
         return hh_params(spec, buckets // max(1, spec.hh_stages), seed)
     from .hybrid import HybridParams
 
-    params = HybridParams(
-        total_buckets=buckets,
-        hh_fraction=hh_fraction,
-        sampler=sampler_params(spec, buckets, seed),
-        hh=hh_params(spec, 1, seed),
-        filter_by_prefix=spec.filter_by_prefix,
-    )
-    if params.hh_buckets_per_stage < 1 and params.array_buckets < 1:
+    # every field is checked at every split, also those of a structure the
+    # split leaves out: the array's at B buckets, the HH table's at one a stage
+    sampler_params(spec, buckets, seed)
+    hh_params(spec, 1, seed)
+    if not 0.0 <= hh_fraction <= 1.0:  # written so that NaN fails too
+        raise ValueError("hh_fraction must lie in [0, 1]")
+    hh_buckets = math.floor(hh_fraction * buckets)
+    per_stage = hh_buckets // spec.hh_stages
+    array_buckets = buckets - hh_buckets
+    if per_stage < 1 and array_buckets < 1:
         raise ValueError(
             f"hybrid with {buckets} buckets and HH fraction {hh_fraction} builds "
             f"neither an HH table (needs {spec.hh_stages} buckets, one per stage) "
             "nor an array"
         )
-    return params
+    return HybridParams(
+        array=sampler_params(spec, array_buckets, seed) if array_buckets >= 1 else None,
+        hh=hh_params(spec, per_stage, seed) if per_stage >= 1 else None,
+        **_from_spec(spec, HYBRID_FIELDS),
+    )
 
 
 def aggregator_params(spec: ExperimentSpec) -> AggregatorParams:
-    return AggregatorParams(
-        min_packets=spec.alpha, eps=spec.eps, scale=spec.scale_c, mode=spec.mode
-    )
+    return AggregatorParams(**_from_spec(spec, AGGREGATOR_FIELDS))
 
 
 def collect_reports(
@@ -244,7 +263,7 @@ def evaluate_reports(
         seed=seed,
         params={
             "algorithm": spec.algorithm,
-            "def": NUMBER_BY_DEF[spec.reorder_def],
+            "def": spec.reorder_def.value,
             "buckets": buckets,
             "hh_fraction": "" if math.isnan(hh_fraction) else hh_fraction,
             "mode": spec.mode.value,
@@ -413,7 +432,7 @@ def analyze_trace(
             row = int(np.searchsorted(stats.prefix_bits, prefix.bits))
             truth_rows.append(
                 {
-                    "def": NUMBER_BY_DEF[def_],
+                    "def": def_.value,
                     "prefix": prefix.dotted(),
                     "packets": int(stats.prefix_n[row]),
                     "ooo": int(stats.prefix_ooo[row, def_.value - 1]),
@@ -432,7 +451,7 @@ def analyze_trace(
                 seed=params.pcc_seed,
             )
             row = {
-                "def": NUMBER_BY_DEF[def_],
+                "def": def_.value,
                 "mean_r": summary.mean_r,
                 "repetitions": summary.repetitions,
                 "undefined_repetitions": summary.undefined_repetitions,
@@ -442,7 +461,7 @@ def analyze_trace(
             # tiny or reorder-free traces: every sample had zero variance;
             # record that instead of aborting the whole characterization
             row = {
-                "def": NUMBER_BY_DEF[def_],
+                "def": def_.value,
                 "mean_r": "",
                 "repetitions": 0,
                 "undefined_repetitions": params.pcc_repetitions,

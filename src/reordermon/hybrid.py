@@ -1,14 +1,9 @@
 """Hybrid detector: heavy-hitter table in front of the sampling array.
 
-Memory is a single budget of B buckets split by a fraction x: the HH table
-gets floor(x*B) entries (divided evenly over its stages), the array gets
-the rest.  The even division floors too: the up to d-1 HH buckets it
-leaves over (d stages) go unused, not to the array, so a split can run on
-fewer than B buckets (B=1024: x = 0.3, 0.4, 0.8 and 0.9 each lose one
-with two stages).  A split that builds neither structure is legal here
-but reports nothing; ``harness.detector_params`` rejects it.  Packets go
-through the HH table first; the array only sees a
-packet if its flow is not resident in the HH table after that step, so
+The hybrid runs two structures it is given already sized; either may be
+absent, not both (``harness.detector_params`` splits one memory budget
+between them).  Packets go through the HH table first; the array only sees
+a packet if its flow is not resident in the HH table after that step, so
 heavy flows are monitored continuously while everything else is sampled.
 
 An alternative filtering rule (skip the array when any flow of the same
@@ -25,8 +20,7 @@ two report streams interleave as the per-packet path emits them.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -40,49 +34,27 @@ from .traceio import PacketArrays
 
 @dataclass(frozen=True)
 class HybridParams:
-    total_buckets: int
-    hh_fraction: float
-    sampler: SamplerParams
-    hh: HHParams
+    """The array and the HH table to build (``None``: not built)."""
+
+    array: Optional[SamplerParams]
+    hh: Optional[HHParams]
     filter_by_prefix: bool = False
 
     def __post_init__(self) -> None:
-        if self.total_buckets < 1:
-            raise ValueError("total_buckets must be >= 1")
-        if not 0.0 <= self.hh_fraction <= 1.0:
-            raise ValueError("hh_fraction must lie in [0, 1]")
-
-    @property
-    def hh_buckets(self) -> int:
-        return math.floor(self.hh_fraction * self.total_buckets)
-
-    @property
-    def array_buckets(self) -> int:
-        return self.total_buckets - self.hh_buckets
-
-    @property
-    def hh_buckets_per_stage(self) -> int:
-        """HH buckets in each stage; the floored remainder goes unused."""
-        return self.hh_buckets // self.hh.n_stages
+        if self.array is None and self.hh is None:
+            raise ValueError("a hybrid needs an array, an HH table or both")
+        if self.array and self.hh and self.array.reorder_def != self.hh.reorder_def:
+            raise ValueError("the array and the HH table must count the same reorder_def")
 
 
 class HybridDetector:
-    """Composes the two structures; degenerate splits reproduce either one
+    """Composes the two structures; a hybrid with one of them reproduces it
     exactly (x=0: the array alone, x=1: the HH table alone)."""
 
     def __init__(self, params: HybridParams) -> None:
         self.params = params
-        per_stage = params.hh_buckets_per_stage
-        self.hh: Optional[ReorderHeavyHitter] = None
-        if per_stage >= 1:
-            self.hh = ReorderHeavyHitter(
-                replace(params.hh, buckets_per_stage=per_stage)
-            )
-        self.array: Optional[FlowSamplingArray] = None
-        if params.array_buckets >= 1:
-            self.array = FlowSamplingArray(
-                replace(params.sampler, n_buckets=params.array_buckets)
-            )
+        self.hh = ReorderHeavyHitter(params.hh) if params.hh else None
+        self.array = FlowSamplingArray(params.array) if params.array else None
 
     def process_packet(self, pkt: PacketRecord) -> list[Report]:
         out: list[Report] = []
@@ -106,19 +78,19 @@ class HybridDetector:
         the reports ``process_packet`` would emit, in the same order, and
         leaves both structures as it would."""
         if self.hh is None:
-            return self.array.process_trace(arrays) if self.array else ReportColumns.merge()
+            return self.array.process_trace(arrays)
         hh_part, filtered = self.hh._process_trace(arrays, self.params.filter_by_prefix)
         if self.array is None:
             return hh_part
         keep = np.flatnonzero(~filtered)
         array_part = self.array.process_trace(arrays.subset(keep))
         # the array's triggers index the unfiltered packets only
-        return ReportColumns.merge(hh_part, replace(array_part, trigger=keep[array_part.trigger]))
+        return ReportColumns.merge(hh_part, array_part.with_trigger(keep[array_part.trigger]))
 
     def flush(self) -> ReportColumns:
         """The HH table's flush reports, then the array's, all triggered at
         the end of the stream, which only the HH table sees whole."""
         parts = [part for part in (self.hh, self.array) if part is not None]
-        end = max((part.packets_processed for part in parts), default=0)
+        end = max(part.packets_processed for part in parts)
         flushed = [part.flush() for part in parts]
-        return ReportColumns.merge(*(replace(f, trigger=np.full(len(f), end)) for f in flushed))
+        return ReportColumns.merge(*(f.with_trigger(np.full(len(f), end)) for f in flushed))

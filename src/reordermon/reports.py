@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from enum import Enum
 
 import numpy as np
@@ -44,6 +44,10 @@ class ReportColumns:
 
     def __len__(self) -> int:
         return len(self.trigger)
+
+    def with_trigger(self, trigger: np.ndarray) -> ReportColumns:
+        """The same reports with ``trigger`` as their trigger column."""
+        return replace(self, trigger=trigger)
 
     @classmethod
     def of(cls, source: ReportSource, rows: list[tuple[int, int, int, int]]) -> ReportColumns:

@@ -22,7 +22,7 @@ test suite holds them to that.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -271,4 +271,4 @@ class FlowSamplingArray:
                 b_o[b],
             )
         evicted = ReportColumns.of(ReportSource.ARRAY_EVICTION, rows)
-        return ReportColumns.merge(replace(evicted, trigger=order[evicted.trigger]))
+        return ReportColumns.merge(evicted.with_trigger(order[evicted.trigger]))

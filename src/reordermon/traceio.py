@@ -18,11 +18,10 @@ paths read.
 
 from __future__ import annotations
 
-import io
 import math
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import IO, Iterable, Iterator, Optional, Union
+from typing import IO, Iterable, Iterator, Optional
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -168,8 +167,6 @@ def flow_steps(arrays: PacketArrays) -> tuple[np.ndarray, np.ndarray]:
     return order, step
 
 
-Source = Union[str, Path, IO[str]]
-
 _SEQ_LIMIT = 1 << 32  # seq and payload_len are 32-bit TCP quantities
 
 # The fast path parses the buffer in blocks of about this many bytes, each
@@ -177,7 +174,7 @@ _SEQ_LIMIT = 1 << 32  # seq and payload_len are 32-bit TCP quantities
 _BLOCK_BYTES = 1 << 20
 
 
-def parse_trace(source: Source) -> tuple[PacketArrays, TraceMeta]:
+def parse_trace(path: str | Path) -> tuple[PacketArrays, TraceMeta]:
     """Read the canonical CSV into columns, dropping zero-payload rows.
 
     Raises ``TraceFormatError`` (with a line number) on malformed rows,
@@ -186,35 +183,22 @@ def parse_trace(source: Source) -> tuple[PacketArrays, TraceMeta]:
     IP octet with a leading zero), negative, non-finite or decreasing
     timestamps, and seq or payload_len outside [0, 2^32).
 
-    The source is read once.  Canonical input (what ``write_trace_csv``
-    writes) is parsed with whole-buffer numpy operations; anything else goes
-    to the line-by-line reader, which either accepts it or raises the error
-    for its first bad line.  The fast path is stricter than the line reader
-    (it sends ``1E-05``, CRLF line ends or a blank line to it) but never
-    accepts a row that the line reader rejects.
+    Canonical input (what ``write_trace_csv`` writes) is parsed with
+    whole-buffer numpy operations; on anything else the file is reopened for
+    the line-by-line reader, which either accepts it or raises the error for
+    its first bad line.  The fast path is stricter than the line reader (it
+    sends ``1E-05``, CRLF line ends or a blank line to it) but never accepts
+    a row that the line reader rejects.
     """
-    if isinstance(source, (str, Path)):
-        text = None
-        data: Optional[bytes] = Path(source).read_bytes()
-    else:
-        text = source.read()
-        try:
-            data = text.encode("ascii", "surrogateescape")
-        except UnicodeEncodeError:
-            data = None
-    columns = _canonical_columns(data) if data is not None else None
+    data = Path(path).read_bytes()
+    columns = _canonical_columns(data)
+    del data  # free the buffer before grouping or reading lines
     if columns is None:
-        if text is None:
-            # a non-ASCII byte becomes a lone surrogate and fails row
-            # validation with its line number; line ends are read as open()
-            # reads text, with universal newlines
-            text = data.decode("ascii", "surrogateescape")
-            handle = io.StringIO(text, newline=None)
-        else:
-            handle = io.StringIO(text)
-        arrays = _parse_lines(handle)
+        # a non-ASCII byte becomes a lone surrogate and fails row validation
+        # with its line number; line ends are read with universal newlines
+        with open(path, encoding="ascii", errors="surrogateescape") as handle:
+            arrays = _parse_lines(handle)
     else:
-        del data, text  # every check has passed: free the buffer before grouping
         arrays = _flow_arrays(*columns)
     # every flow of a parsed trace has a packet
     return arrays, flow_table_meta(arrays)
@@ -552,6 +536,14 @@ def write_sidecar(arrays: PacketArrays, counts: np.ndarray, dest: IO[str]) -> No
 
 # --- synthetic workload -----------------------------------------------------
 
+# fixed texture of the synthetic workload
+NOISY_EPISODE_LEN = 16  # packets in a noisy flow's loss episode
+NOISY_EPISODE_PROB = 0.3  # displacement probability inside an episode
+MAX_FLOW_SIZE = 4096  # flow sizes are clipped to [2, MAX_FLOW_SIZE]
+MEAN_BURST_LEN = 16  # packets per burst (Poisson mean, at least 2)
+INTRA_BURST_GAP = 8e-6  # mean gap between the packets of a burst, seconds
+STALL_FRACTION = 0.3  # share of displaced packets that stall their flow
+
 
 @dataclass(frozen=True)
 class SynthConfig:
@@ -562,7 +554,7 @@ class SynthConfig:
     of its successors) with probability ``bad_reorder_prob``, others with
     ``good_reorder_prob``.  Independently, a ``noisy_flow_fraction`` share
     of flows suffers one transient loss episode: a contiguous window of
-    ``noisy_episode_len`` packets displaced at ``noisy_episode_prob``.
+    ``NOISY_EPISODE_LEN`` packets displaced at ``NOISY_EPISODE_PROB``.
     Episodes model single-flow noise that should not get a whole prefix
     reported.  Flows emit packets in bursts so the staleness threshold of
     the samplers is exercised at realistic timescales.
@@ -580,13 +572,7 @@ class SynthConfig:
     seed: int = 0
     # texture knobs (kept apart from the contract fields above)
     noisy_flow_fraction: float = 0.0
-    noisy_episode_len: int = 16
-    noisy_episode_prob: float = 0.3
     max_flows_per_prefix: int = 48
-    max_flow_size: int = 4096
-    mean_burst_len: int = 16
-    intra_burst_gap: float = 8e-6
-    stall_fraction: float = 0.3
 
     def validate(self) -> None:
         if not 1 <= self.n_prefixes <= 1 << 16:
@@ -606,19 +592,10 @@ class SynthConfig:
         for name in ("flows_per_prefix_zipf_exponent", "flow_size_zipf_exponent"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite")
-        # each range test is written so that NaN fails it too
-        for name in ("noisy_flow_fraction", "noisy_episode_prob", "stall_fraction"):
-            if not 0.0 <= getattr(self, name) <= 1.0:
-                raise ValueError(f"{name} must lie in [0, 1]")
-        for name in ("max_flows_per_prefix", "noisy_episode_len"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1")
-        if self.max_flow_size < 2:  # flow sizes are clipped to [2, max_flow_size]
-            raise ValueError("max_flow_size must be >= 2")
-        if not 0.0 <= self.mean_burst_len < math.inf:
-            raise ValueError("mean_burst_len must be finite and >= 0")
-        if not 0.0 < self.intra_burst_gap < math.inf:
-            raise ValueError("intra_burst_gap must be finite and positive")
+        if not 0.0 <= self.noisy_flow_fraction <= 1.0:  # written so that NaN fails too
+            raise ValueError("noisy_flow_fraction must lie in [0, 1]")
+        if self.max_flows_per_prefix < 1:
+            raise ValueError("max_flows_per_prefix must be >= 1")
 
 
 def _bounded_zipf(rng: np.random.Generator, exponent: float, kmax: int, size: int) -> np.ndarray:
@@ -653,9 +630,9 @@ def generate_synthetic_arrays(cfg: SynthConfig) -> tuple[PacketArrays, np.ndarra
     n_flows = int(flows_per_prefix.sum())
     flow_prefix = np.repeat(np.arange(cfg.n_prefixes), flows_per_prefix)
 
-    raw = _bounded_zipf(rng, cfg.flow_size_zipf_exponent, cfg.max_flow_size, n_flows)
-    scale = cfg.mean_flow_size / _bounded_zipf_mean(cfg.flow_size_zipf_exponent, cfg.max_flow_size)
-    sizes = np.clip(np.round(raw * scale).astype(np.int64), 2, cfg.max_flow_size)
+    raw = _bounded_zipf(rng, cfg.flow_size_zipf_exponent, MAX_FLOW_SIZE, n_flows)
+    scale = cfg.mean_flow_size / _bounded_zipf_mean(cfg.flow_size_zipf_exponent, MAX_FLOW_SIZE)
+    sizes = np.clip(np.round(raw * scale).astype(np.int64), 2, MAX_FLOW_SIZE)
 
     # flow endpoints: src host inside the prefix, unique client side
     flow_src_ip = prefix_bits[flow_prefix] + 1 + rng.integers(0, 254, n_flows)
@@ -681,16 +658,16 @@ def generate_synthetic_arrays(cfg: SynthConfig) -> tuple[PacketArrays, np.ndarra
     # displacement: delay contents by 1..displacement_max positions; noisy
     # flows additionally get one contiguous high-rate episode
     noisy_flow = rng.random(n_flows) < cfg.noisy_flow_fraction
-    episode_start = rng.integers(0, np.maximum(sizes - cfg.noisy_episode_len, 1))
+    episode_start = rng.integers(0, np.maximum(sizes - NOISY_EPISODE_LEN, 1))
     base_prob = np.where(bad_prefix[flow_prefix], cfg.bad_reorder_prob, cfg.good_reorder_prob)
     pkt_prob = np.repeat(base_prob, sizes)
     start_pkt = np.repeat(episode_start, sizes)
     in_episode = (
         np.repeat(noisy_flow, sizes)
         & (within >= start_pkt)
-        & (within < start_pkt + cfg.noisy_episode_len)
+        & (within < start_pkt + NOISY_EPISODE_LEN)
     )
-    pkt_prob = np.where(in_episode, cfg.noisy_episode_prob, pkt_prob)
+    pkt_prob = np.where(in_episode, NOISY_EPISODE_PROB, pkt_prob)
     displaced = rng.random(n_pkts) < pkt_prob
     shift = rng.integers(1, cfg.displacement_max + 1, n_pkts, dtype=np.int64)
     keys = within.astype(np.float64)
@@ -698,13 +675,13 @@ def generate_synthetic_arrays(cfg: SynthConfig) -> tuple[PacketArrays, np.ndarra
     order = np.lexsort((keys, pkt_flow))  # per-flow arrival order of contents
 
     # arrival schedule: bursts of back-to-back packets, long silences between
-    burst_len = np.maximum(2, rng.poisson(cfg.mean_burst_len, n_flows))
+    burst_len = np.maximum(2, rng.poisson(MEAN_BURST_LEN, n_flows))
     pkt_burst_len = np.repeat(burst_len, sizes)
     is_burst_gap = (within > 0) & (within % pkt_burst_len == 0)
     n_bursts = np.maximum(1, (sizes + burst_len - 1) // burst_len)
     span = rng.uniform(0.3, 0.9, n_flows) * cfg.duration_seconds
     inter_gap_mean = span / n_bursts
-    gaps = rng.exponential(1.0, n_pkts) * cfg.intra_burst_gap
+    gaps = rng.exponential(1.0, n_pkts) * INTRA_BURST_GAP
     gaps[is_burst_gap] = rng.exponential(1.0, int(is_burst_gap.sum())) * np.repeat(
         inter_gap_mean, sizes
     )[is_burst_gap]
@@ -714,8 +691,8 @@ def generate_synthetic_arrays(cfg: SynthConfig) -> tuple[PacketArrays, np.ndarra
     # reordered packets dominate the inter-arrival tail.
     disp_at_slot = displaced[order]
     n_disp = int(disp_at_slot.sum())
-    extra = (2.0 + rng.exponential(4.0, n_disp)) * cfg.intra_burst_gap
-    stall = rng.random(n_disp) < cfg.stall_fraction
+    extra = (2.0 + rng.exponential(4.0, n_disp)) * INTRA_BURST_GAP
+    stall = rng.random(n_disp) < STALL_FRACTION
     flow_inter = np.repeat(inter_gap_mean, sizes)[disp_at_slot]
     extra[stall] = flow_inter[stall] * (0.5 + rng.exponential(0.5, int(stall.sum())))
     gaps[disp_at_slot] += extra

@@ -8,6 +8,7 @@ tolerance is +/-0.05 around the frozen means.
 from __future__ import annotations
 
 import functools
+import math
 import time
 from pathlib import Path
 
@@ -16,9 +17,9 @@ import pytest
 from reordermon.checkmodel import check_model_presets, empirical_guarantee
 from reordermon.cli import main as cli_main
 from reordermon.controlplane import AggregatorMode
-from reordermon.harness import ExperimentSpec, run_experiment
+from reordermon.harness import ExperimentSpec, detector_params, run_experiment
 from reordermon.heavyhitter import HHParams, ReorderHeavyHitter
-from reordermon.hybrid import HybridDetector, HybridParams
+from reordermon.hybrid import HybridDetector
 from reordermon.model import Prefix, ReorderDef
 from reordermon.oracle import compute_stats, mean_pearson_correlation
 from reordermon.reports import ReportColumns
@@ -158,24 +159,22 @@ def test_c03_degenerate_hybrid_is_bitwise_identical() -> None:
     arrays, _ = generate_synthetic_arrays(cfg)
     records = list(arrays.iter_records())
     total_buckets = 64
-    sampler = SamplerParams(n_buckets=total_buckets, hash_seed=7)
-    hh = HHParams(n_stages=2, buckets_per_stage=1, hash_seed=7, rng_seed=7)
 
-    zero = HybridDetector(
-        HybridParams(total_buckets=total_buckets, hh_fraction=0.0, sampler=sampler, hh=hh)
-    )
+    def params(algorithm: str, x: float = math.nan):
+        spec = ExperimentSpec(
+            algorithm=algorithm, bucket_counts=(total_buckets,), hh_fractions=(x,)
+        )
+        return detector_params(spec, total_buckets, x, seed=7)
+
+    zero = HybridDetector(params("hybrid", 0.0))
     zero_stream = per_packet_rows(records, zero.process_packet, zero.flush)
-    array = FlowSamplingArray(sampler)
+    array = FlowSamplingArray(params("array"))
     array_stream = per_packet_rows(records, lambda rec: [array.process_packet(rec)], array.flush)
     assert zero_stream == array_stream
 
-    one = HybridDetector(
-        HybridParams(total_buckets=total_buckets, hh_fraction=1.0, sampler=sampler, hh=hh)
-    )
+    one = HybridDetector(params("hybrid", 1.0))
     one_stream = per_packet_rows(records, one.process_packet, one.flush)
-    from dataclasses import replace
-
-    solo = ReorderHeavyHitter(replace(hh, buckets_per_stage=total_buckets // hh.n_stages))
+    solo = ReorderHeavyHitter(params("hh"))
     hh_stream = per_packet_rows(records, lambda rec: [solo.process_packet(rec)[1]], solo.flush)
     assert one_stream == hh_stream
     report("C3", f"x=0 matches array ({len(array_stream)} reports), x=1 matches HH "

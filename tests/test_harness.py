@@ -1,11 +1,17 @@
 from __future__ import annotations
 
+import dataclasses
+import inspect
 from pathlib import Path
 
 import pytest
 
-from reordermon.controlplane import AggregatorMode
+from reordermon.controlplane import AggregatorMode, AggregatorParams
 from reordermon.harness import (
+    AGGREGATOR_FIELDS,
+    HH_FIELDS,
+    HYBRID_FIELDS,
+    SAMPLER_FIELDS,
     AnalysisParams,
     ExperimentSpec,
     RESULT_COLUMNS,
@@ -19,11 +25,11 @@ from reordermon.harness import (
     truth_sets,
     write_csv,
 )
-from reordermon.heavyhitter import ReorderHeavyHitter
-from reordermon.hybrid import HybridDetector
+from reordermon.heavyhitter import HHParams, ReorderHeavyHitter
+from reordermon.hybrid import HybridDetector, HybridParams
 from reordermon.model import ReorderDef
-from reordermon.oracle import compute_stats
-from reordermon.sampling import FlowSamplingArray
+from reordermon.oracle import compute_stats, mean_pearson_correlation
+from reordermon.sampling import FlowSamplingArray, SamplerParams
 from reordermon.traceio import PacketArrays, SynthConfig, generate_synthetic_arrays
 
 from conftest import per_packet_rows, report_rows, stats_tables
@@ -222,6 +228,36 @@ def test_defaults_pin_the_standard_evaluation_setup() -> None:
     assert spec.hh_stages == 2
     assert (spec.alpha, spec.beta, spec.eps) == (16, 128, 0.01)
     assert spec.seeds == (0, 1, 2, 3, 4)
+    # the harness imports no detector module, so the spec restates the
+    # parameter defaults: hold each equal to the default of the field it sets
+    # (HHParams.n_stages has none)
+    for params, table in (
+        (SamplerParams, SAMPLER_FIELDS),
+        (HHParams, HH_FIELDS),
+        (HybridParams, HYBRID_FIELDS),
+        (AggregatorParams, AGGREGATOR_FIELDS),
+    ):
+        defaults = {f.name: f.default for f in dataclasses.fields(params)}
+        for field, param in table.items():
+            if defaults[param] is not dataclasses.MISSING:
+                assert getattr(spec, field) == defaults[param], (params.__name__, field)
+    pcc = inspect.signature(mean_pearson_correlation).parameters
+    analysis = AnalysisParams()
+    assert analysis.pcc_repetitions == pcc["repetitions"].default
+    assert analysis.pcc_sample_fraction == pcc["sample_fraction"].default
+    assert analysis.pcc_seed == pcc["seed"].default
+
+
+def test_bucket_split_arithmetic() -> None:
+    # B = 100, x = 0.37, d = 2: floor(x*B) = 37 HH buckets, 18 a stage with
+    # one left over, and the other 63 for the array
+    spec = ExperimentSpec(algorithm="hybrid", bucket_counts=(100,), hh_fractions=(0.37,))
+    params = detector_params(spec, 100, 0.37, seed=0)
+    assert (params.hh.n_stages, params.hh.buckets_per_stage) == (2, 18)
+    assert params.array.n_buckets == 63
+    # the HH table alone spreads all B over its stages, flooring too
+    hh = detector_params(dataclasses.replace(spec, algorithm="hh"), 101, 0.37, seed=0)
+    assert (hh.n_stages, hh.buckets_per_stage) == (2, 50)
 
 
 def test_memory_sweep_regression_curve() -> None:

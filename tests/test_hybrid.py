@@ -1,8 +1,9 @@
 from __future__ import annotations
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, reject, settings, strategies as st
 
+from reordermon.harness import ExperimentSpec, detector_params
 from reordermon.heavyhitter import HHParams, ReorderHeavyHitter
 from reordermon.hybrid import HybridDetector, HybridParams
 from reordermon.model import FlowId, PacketRecord, ReorderDef
@@ -20,13 +21,13 @@ def pkt(flow: FlowId, seq: int, ts: float) -> PacketRecord:
     return PacketRecord(flow, seq, 100, ts)
 
 
-def hybrid_params(total: int, x: float, seed: int = 0, **kwargs) -> HybridParams:
-    return HybridParams(
-        total_buckets=total,
-        hh_fraction=x,
-        sampler=SamplerParams(n_buckets=1, hash_seed=seed, **kwargs),
-        hh=HHParams(n_stages=2, buckets_per_stage=1, hash_seed=seed, rng_seed=seed),
+def hybrid_params(total: int, x: float, seed: int = 0, **fields) -> HybridParams:
+    """The hybrid at B = ``total`` and x, sized as the harness sizes it; the
+    other ``ExperimentSpec`` fields as given, else their defaults."""
+    spec = ExperimentSpec(
+        algorithm="hybrid", bucket_counts=(total,), hh_fractions=(x,), **fields
     )
+    return detector_params(spec, total, x, seed)
 
 
 def run_hybrid(records, params: HybridParams):
@@ -36,11 +37,15 @@ def run_hybrid(records, params: HybridParams):
     return report_columns(emitted), det.flush()
 
 
-def test_bucket_split_arithmetic() -> None:
-    p = hybrid_params(100, 0.37)
-    assert p.hh_buckets == 37
-    assert p.array_buckets == 63
-    assert p.hh_buckets + p.array_buckets == p.total_buckets
+def test_params_need_a_structure_and_one_definition() -> None:
+    array = SamplerParams(n_buckets=4, reorder_def=ReorderDef.DEF2_GAP, hash_seed=3)
+    hh = HHParams(n_stages=2, buckets_per_stage=2, hash_seed=5, rng_seed=9)
+    with pytest.raises(ValueError, match="same reorder_def"):
+        HybridParams(array=array, hh=hh)
+    with pytest.raises(ValueError, match="needs an array, an HH table or both"):
+        HybridParams(array=None, hh=None)
+    HybridParams(array=array, hh=None)
+    HybridParams(array=None, hh=hh)
 
 
 def test_hh_resident_flow_never_reaches_array() -> None:
@@ -79,12 +84,7 @@ def test_x_zero_is_bitwise_the_standalone_array(reorder_def: ReorderDef) -> None
     sampler = SamplerParams(
         n_buckets=8, stale_after=1e-4, max_packets=4, reorder_def=reorder_def, hash_seed=3
     )
-    params = HybridParams(
-        total_buckets=8,
-        hh_fraction=0.0,
-        sampler=sampler,
-        hh=HHParams(n_stages=2, buckets_per_stage=1, hash_seed=3, rng_seed=3),
-    )
+    params = hybrid_params(8, 0.0, 3, stale_after=1e-4, max_packets=4, reorder_def=reorder_def)
     hybrid_reports, hybrid_flush = run_hybrid(records, params)
 
     standalone = FlowSamplingArray(sampler)
@@ -97,18 +97,10 @@ def test_x_zero_is_bitwise_the_standalone_array(reorder_def: ReorderDef) -> None
 
 def test_x_one_is_bitwise_the_standalone_hh() -> None:
     records = random_trace(6, n_packets=3000, n_flows=18, n_prefixes=4)
-    hh = HHParams(n_stages=2, buckets_per_stage=1, hash_seed=5, rng_seed=5)
-    params = HybridParams(
-        total_buckets=8,
-        hh_fraction=1.0,
-        sampler=SamplerParams(n_buckets=8, hash_seed=5),
-        hh=hh,
-    )
-    hybrid_reports, hybrid_flush = run_hybrid(records, params)
+    hh = HHParams(n_stages=2, buckets_per_stage=8 // 2, hash_seed=5, rng_seed=5)
+    hybrid_reports, hybrid_flush = run_hybrid(records, hybrid_params(8, 1.0, 5))
 
-    from dataclasses import replace
-
-    standalone = ReorderHeavyHitter(replace(hh, buckets_per_stage=8 // 2))
+    standalone = ReorderHeavyHitter(hh)
     solo_reports = report_columns(
         (i, r) for i, rec in enumerate(records) if (r := standalone.process_packet(rec)[1])
     )
@@ -144,14 +136,7 @@ def test_access_budget_d_plus_one() -> None:
 
 
 def test_prefix_filter_variant_blocks_same_prefix_flows() -> None:
-    params = HybridParams(
-        total_buckets=16,
-        hh_fraction=0.5,
-        sampler=SamplerParams(n_buckets=1, hash_seed=0),
-        hh=HHParams(n_stages=2, buckets_per_stage=1, hash_seed=0, rng_seed=0),
-        filter_by_prefix=True,
-    )
-    det = HybridDetector(params)
+    det = HybridDetector(hybrid_params(16, 0.5, filter_by_prefix=True))
     det.process_packet(pkt(FA1, 1000, 0.0))  # FA1 resident in HH
     assert det.array is not None
     seen_before = det.array.packets_processed
@@ -180,17 +165,9 @@ def batch_params(
     n_stages: int = 2,
     min_report_packets: int = 4,
 ) -> HybridParams:
-    return HybridParams(
-        total_buckets=total,
-        hh_fraction=x,
-        sampler=SamplerParams(
-            n_buckets=1, stale_after=1e-4, max_packets=5, reorder_def=reorder_def,
-            hash_seed=seed,
-        ),
-        hh=HHParams(
-            n_stages=n_stages, buckets_per_stage=1, min_report_packets=min_report_packets,
-            reorder_def=reorder_def, hash_seed=seed, rng_seed=seed,
-        ),
+    return hybrid_params(
+        total, x, seed, stale_after=1e-4, max_packets=5, reorder_def=reorder_def,
+        hh_stages=n_stages, min_report_packets=min_report_packets,
         filter_by_prefix=filter_by_prefix,
     )
 
@@ -282,7 +259,11 @@ def test_fast_path_equivalence_property(
     filter_by_prefix: bool,
 ) -> None:
     records = random_trace(trace_seed, n_packets=600, n_flows=9, n_prefixes=4)
-    params = batch_params(
-        total, x, reorder_def, filter_by_prefix, trace_seed ^ 0x5A5A, n_stages, min_packets
-    )
+    try:
+        params = batch_params(
+            total, x, reorder_def, filter_by_prefix, trace_seed ^ 0x5A5A, n_stages, min_packets
+        )
+    except ValueError as exc:  # a split with room for neither structure
+        assert "builds neither" in str(exc)
+        reject()
     assert_batch_matches_reference(records, params)

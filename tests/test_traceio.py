@@ -3,6 +3,8 @@ from __future__ import annotations
 import dataclasses
 import io
 import math
+import tempfile
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -40,8 +42,20 @@ from reordermon.traceio import (
 from conftest import random_trace, stats_tables
 
 
+def write_text(path: Path, text: str) -> None:
+    """``text`` as a file: Latin-1 where it fits ("\xe9" as one byte), else UTF-8."""
+    try:
+        path.write_bytes(text.encode("latin-1"))
+    except UnicodeEncodeError:
+        path.write_bytes(text.encode("utf-8"))
+
+
 def parse_text(text: str):
-    return parse_trace(io.StringIO(text))
+    """``parse_trace`` of ``text`` written to a file."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "trace.csv"
+        write_text(path, text)
+        return parse_trace(path)
 
 
 def trace_text(records: list[PacketRecord]) -> str:
@@ -484,28 +498,10 @@ def test_invalid_configs_rejected() -> None:
         ("noisy_flow_fraction", -0.1),
         ("noisy_flow_fraction", math.nan),
         ("max_flows_per_prefix", 0),
-        ("max_flow_size", 0),
-        ("max_flow_size", 1),
-        ("noisy_episode_len", 0),
-        ("noisy_episode_prob", 1.5),
-        ("noisy_episode_prob", math.nan),
-        ("stall_fraction", -0.1),
-        ("stall_fraction", math.nan),
-        ("mean_burst_len", -5),
-        ("mean_burst_len", math.nan),
-        ("mean_burst_len", math.inf),
-        ("intra_burst_gap", math.nan),
-        ("intra_burst_gap", math.inf),
-        ("intra_burst_gap", 0.0),
-        ("intra_burst_gap", -8e-6),
     ):
         with pytest.raises(ValueError):
             dataclasses.replace(SynthConfig(n_prefixes=4), **{field: value}).validate()
     SynthConfig(n_prefixes=2**16, noisy_flow_fraction=1.0, flow_size_zipf_exponent=-1.0).validate()
-    SynthConfig(
-        n_prefixes=4, max_flow_size=2, mean_burst_len=0, noisy_episode_len=1,
-        noisy_episode_prob=1.0, stall_fraction=0.0,
-    ).validate()
 
 
 def test_port_out_of_range_rejected() -> None:
@@ -630,19 +626,14 @@ def _reference(handle):
 
 
 def _check_against_reference(text: str, path) -> None:
-    """parse_trace gives what the line reader gives, from a file and from a
-    StringIO, with the default block size and with blocks of one row."""
-    try:
-        path.write_bytes(text.encode("latin-1"))  # "\xe9" as one byte
-    except UnicodeEncodeError:
-        path.write_bytes(text.encode("utf-8"))
+    """parse_trace of ``text`` in a file gives what the line reader gives,
+    with the default block size and with blocks of one row."""
+    write_text(path, text)
     with open(path, encoding="ascii", errors="surrogateescape") as handle:
-        from_file = _outcome(lambda: _reference(handle))
-    from_text = _outcome(lambda: _reference(io.StringIO(text)))
+        expected = _outcome(lambda: _reference(handle))
     for block_bytes in (traceio._BLOCK_BYTES, 1):
         with mock.patch.object(traceio, "_BLOCK_BYTES", block_bytes):
-            assert _outcome(lambda: parse_trace(path)) == from_file
-            assert _outcome(lambda: parse_trace(io.StringIO(text))) == from_text
+            assert _outcome(lambda: parse_trace(path)) == expected
 
 
 def _seeded(test):
@@ -663,16 +654,15 @@ def _refuse_line_reader(handle):
 
 
 def _expect_fast(data: bytes, tmp_path) -> PacketArrays:
-    """Parse ``data`` from a file and from a StringIO, first with the line
-    reader alone, then with the line reader refused; both must agree."""
+    """Parse ``data`` from a file, first with the line reader alone, then
+    with the line reader refused; both must agree."""
     path = tmp_path / "trace.csv"
     path.write_bytes(data)
     expected = _reference(io.StringIO(data.decode("ascii")))
     with mock.patch.object(traceio, "_read_rows", _refuse_line_reader):
-        for source in (path, io.StringIO(data.decode("ascii"))):
-            arrays, meta = parse_trace(source)
-            assert _columns(arrays) == _columns(expected[0])
-            assert meta == expected[1] == packet_meta(arrays)
+        arrays, meta = parse_trace(path)
+    assert _columns(arrays) == _columns(expected[0])
+    assert meta == expected[1] == packet_meta(arrays)
     return arrays
 
 
@@ -713,16 +703,12 @@ def test_fast_path_flow_with_only_zero_payload_gets_no_id(tmp_path) -> None:
     assert (meta.flow_count, meta.prefix_count) == (2, 1)
 
 
-def test_crlf_file_reads_as_lf_and_crlf_text_is_refused(tmp_path) -> None:
+def test_crlf_file_reads_as_lf(tmp_path) -> None:
     rows = ["0.1,10.0.0.1,10.0.1.1,443,50000,1000,100", "0.2,10.0.0.1,10.0.1.1,443,50000,1100,5"]
     lf = "\n".join([TRACE_HEADER, *rows]) + "\n"
     crlf = lf.replace("\n", "\r\n")
-    path = tmp_path / "crlf.csv"
-    path.write_bytes(crlf.encode())
-    assert _columns(parse_trace(path)[0]) == _columns(parse_text(lf)[0])
+    assert _columns(parse_text(crlf)[0]) == _columns(parse_text(lf)[0])
     _check_against_reference(crlf, tmp_path / "check.csv")
-    with pytest.raises(TraceFormatError, match="line 1: expected header"):
-        parse_text(crlf)
 
 
 def test_blank_line_is_skipped(tmp_path) -> None:
