@@ -26,7 +26,7 @@ _SOURCES = {
         "is_out_of_order",
         "prefix_of",
     ),
-    "oracle": ("GroundTruth", "TraceStats", "compute_stats", "ground_truth"),
+    "oracle": ("TraceStats", "compute_stats", "ground_truth"),
     "reports": ("Report", "ReportColumns", "ReportSource"),
     "sampling": ("BucketRecord", "FlowSamplingArray", "SamplerParams"),
     "traceio": (

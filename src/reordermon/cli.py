@@ -34,6 +34,7 @@ if TYPE_CHECKING:
 # set.
 _LAZY = {
     "CheckModel": "checkmodel",
+    "GuaranteeResult": "checkmodel",
     "check_model_presets": "checkmodel",
     "empirical_guarantee": "checkmodel",
     "RESULT_COLUMNS": "harness",
@@ -329,13 +330,17 @@ def _cmd_grid_hybrid(args: argparse.Namespace) -> int:
 
 
 def _cmd_validate_lemma(args: argparse.Namespace) -> int:
+    import dataclasses
+
     # no library object holds these three, so their defaults live here
     values = {"trials": 10_000, "seed": 0, "preset": "all", **_resolve(args, LEMMA_OPTS)}
     if values["trials"] < 1:
         raise UsageError("--trials must be >= 1")
     if values["seed"] < 0:  # numpy's generators take no negative seed
         raise UsageError("--seed must be >= 0")
-    _bind("CheckModel", "check_model_presets", "empirical_guarantee", "write_csv")
+    _bind(
+        "CheckModel", "GuaranteeResult", "check_model_presets", "empirical_guarantee", "write_csv"
+    )
     models: dict[str, CheckModel] = {}
     if args.model:
         raw = json.loads(Path(args.model).read_text(encoding="ascii"))
@@ -367,35 +372,15 @@ def _cmd_validate_lemma(args: argparse.Namespace) -> int:
                 f"(threshold {result.threshold_checks:.2f} checks, "
                 f"mean {result.mean_checks:.2f})"
             )
-        rows.append(
-            {
-                "name": name,
-                "trials": result.trials,
-                "threshold_checks": result.threshold_checks,
-                "mean_checks": result.mean_checks,
-                "success_fraction": result.success_fraction,
-                "failure_bound": result.failure_bound,
-                "vacuous": int(result.vacuous),
-                "holds": int(result.holds),
-            }
-        )
+        row = {"name": name}
+        for key, value in dataclasses.asdict(result).items():
+            row[key] = int(value) if isinstance(value, bool) else value  # vacuous, holds: 0/1
+        rows.append(row)
     if args.out:
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
-        write_csv(
-            out_dir / "check_guarantee.csv",
-            (
-                "name",
-                "trials",
-                "threshold_checks",
-                "mean_checks",
-                "success_fraction",
-                "failure_bound",
-                "vacuous",
-                "holds",
-            ),
-            rows,
-        )
+        columns = ("name", *(field.name for field in dataclasses.fields(GuaranteeResult)))
+        write_csv(out_dir / "check_guarantee.csv", columns, rows)
     return 0
 
 

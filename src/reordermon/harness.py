@@ -12,8 +12,6 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, Optional, Sequence
 
-import numpy as np
-
 from .controlplane import AggregatorMode, AggregatorParams, ReportAggregator
 from .metrics import EvalResult, accuracy, communication_overhead, false_positive_rate
 from .model import Prefix, ReorderDef
@@ -80,6 +78,8 @@ class ExperimentSpec:
         ):
             if not values:
                 raise ValueError(f"{name} must not be empty")
+        if min(self.seeds) < 0:  # random.Random(-s) draws as random.Random(s)
+            raise ValueError("seeds must be >= 0")
         # build every parameter set a run uses, so a bad value fails here,
         # before any trace is read
         aggregator_params(self)
@@ -234,11 +234,9 @@ def truth_sets(
 
     The beta set requires at least beta packets; the alpha set requires
     strictly more than alpha packets (it is the false-positive reference)."""
-    beta_set = ground_truth(stats, spec.eps, spec.alpha, spec.beta, spec.reorder_def).heavy_set
+    beta_set = ground_truth(stats, spec.eps, spec.beta, spec.reorder_def)
     # packet counts are integers: more than alpha is at least alpha + 1
-    alpha_set = ground_truth(
-        stats, spec.eps, spec.alpha, spec.alpha + 1, spec.reorder_def
-    ).heavy_set
+    alpha_set = ground_truth(stats, spec.eps, spec.alpha + 1, spec.reorder_def)
     return beta_set, alpha_set
 
 
@@ -427,17 +425,17 @@ def analyze_trace(
 
     truth_rows = []
     for def_ in (d1, d2):
-        truth = ground_truth(stats, params.eps, params.alpha, params.beta, def_)
-        for prefix in sorted(truth.heavy_set, key=lambda p: p.bits):
-            row = int(np.searchsorted(stats.prefix_bits, prefix.bits))
-            truth_rows.append(
-                {
-                    "def": def_.value,
-                    "prefix": prefix.dotted(),
-                    "packets": int(stats.prefix_n[row]),
-                    "ooo": int(stats.prefix_ooo[row, def_.value - 1]),
-                }
-            )
+        truth = ground_truth(stats, params.eps, params.beta, def_)
+        truth_rows += [
+            {
+                "def": def_.value,
+                "prefix": row["prefix"],
+                "packets": row["packets"],
+                "ooo": row[f"ooo_def{def_.value}"],
+            }
+            for bits, row in zip(stats.prefix_bits.tolist(), prefix_rows)
+            if Prefix(bits) in truth
+        ]
     write_csv(out / "ground_truth.csv", ("def", "prefix", "packets", "ooo"), truth_rows)
 
     pcc_rows = []
@@ -474,31 +472,24 @@ def analyze_trace(
         pcc_rows,
     )
 
-    hist = interarrival_histogram(arrays)
-    hist_rows = []
-    for name, dist in (
-        ("in_order", hist.in_order),
-        ("def1_ooo", hist.def1_ooo),
-        ("def2_ooo", hist.def2_ooo),
-    ):
-        for bin_, count in sorted(dist.counts.items()):
-            hist_rows.append({"class": name, "bin_log2": bin_, "count": count})
+    hist_rows = [
+        {"class": name, "bin_log2": bin_, "count": count}
+        for name, counts in interarrival_histogram(arrays).items()
+        for bin_, count in counts.items()
+    ]
     write_csv(out / "interarrival.csv", ("class", "bin_log2", "count"), hist_rows)
 
-    breakdown_rows = []
-    for prefix, entry in flow_size_reorder_breakdown(stats, d1).items():
-        for bin_, count in entry.flow_count_by_bin.items():
-            fraction = ""
-            if entry.ooo_fraction_by_bin is not None:
-                fraction = entry.ooo_fraction_by_bin[bin_]
-            breakdown_rows.append(
-                {
-                    "prefix": prefix.dotted(),
-                    "size_bin": bin_,
-                    "flow_count": count,
-                    "ooo_fraction": fraction,
-                }
-            )
+    breakdown_rows = [
+        {
+            "prefix": Prefix(bits).dotted(),
+            "size_bin": bin_,
+            "flow_count": count,
+            "ooo_fraction": "" if math.isnan(fraction) else fraction,
+        }
+        for bits, bin_, count, fraction in zip(
+            *(column.tolist() for column in flow_size_reorder_breakdown(stats, d1))
+        )
+    ]
     write_csv(
         out / "size_breakdown.csv",
         ("prefix", "size_bin", "flow_count", "ooo_fraction"),

@@ -70,6 +70,8 @@ class HHParams:
             raise ValueError("min_report_packets must be >= 1")
         if self.reorder_def not in DETECTOR_DEFS:
             raise ValueError("online detectors support DEF1 and DEF2 only")
+        if self.rng_seed < 0:  # random.Random(-s) draws as random.Random(s)
+            raise ValueError("rng_seed must be >= 0")
 
 
 @dataclass(slots=True)

@@ -3,13 +3,15 @@
 This is the memory-unconstrained baseline: one row of counters per flow, exact
 out-of-order counts under all three definitions at once.  It exists to
 produce ground truth and workload characterizations for the detectors, not
-to be a detector itself.
+to be a detector itself.  Each analysis returns what its callers read: the
+ground truth is a set of prefixes, the inter-arrival histogram is bin counts
+per packet class, and the flow-size breakdown is four aligned columns.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -39,14 +41,6 @@ class TraceStats:
     prefix_ooo: np.ndarray  # prefixes x 3
     prefix_flows: np.ndarray
     packet_count: int
-
-
-@dataclass(frozen=True)
-class GroundTruth:
-    """Prefixes that must be reported and prefixes too small to report."""
-
-    heavy_set: frozenset[Prefix]
-    small_exempt_set: frozenset[Prefix]
 
 
 def compute_stats(arrays: PacketArrays) -> TraceStats:
@@ -107,22 +101,14 @@ def compute_stats(arrays: PacketArrays) -> TraceStats:
     )
 
 
-def _prefix_set(stats: TraceStats, mask: np.ndarray) -> frozenset[Prefix]:
-    return frozenset(Prefix(bits) for bits in stats.prefix_bits[mask].tolist())
-
-
-def ground_truth(
-    stats: TraceStats, eps: float, alpha: int, beta: int, def_: ReorderDef
-) -> GroundTruth:
+def ground_truth(stats: TraceStats, eps: float, beta: int, def_: ReorderDef) -> frozenset[Prefix]:
     """Prefixes with at least ``beta`` packets and more than an ``eps``
-    fraction out of order, plus the at-most-``alpha``-packets exemption set."""
+    fraction out of order."""
     if not 0.0 < eps < 1.0:
         raise ValueError("eps must lie in (0, 1)")
-    if alpha >= beta:
-        raise ValueError("alpha must be smaller than beta")
     n = stats.prefix_n
     heavy = (n >= beta) & (stats.prefix_ooo[:, def_.value - 1] > eps * n)
-    return GroundTruth(_prefix_set(stats, heavy), _prefix_set(stats, n <= alpha))
+    return frozenset(Prefix(bits) for bits in stats.prefix_bits[heavy].tolist())
 
 
 def _pcc_pool(stats: TraceStats, def_: ReorderDef) -> tuple[np.ndarray, np.ndarray]:
@@ -209,36 +195,11 @@ def mean_pearson_correlation(
     return PccSummary(float(np.mean(values)), len(values), undefined, n_samples)
 
 
-@dataclass
-class GapDistribution:
-    counts: dict[int, int] = field(default_factory=dict)
-    total_gap: float = 0.0
-    packets: int = 0
-
-    def add(self, gap: float) -> None:
-        bin_ = int(math.floor(math.log2(max(gap, 1e-9))))
-        self.counts[bin_] = self.counts.get(bin_, 0) + 1
-        self.total_gap += gap
-        self.packets += 1
-
-    @property
-    def mean_gap(self) -> float:
-        return self.total_gap / self.packets if self.packets else math.nan
+INTERARRIVAL_CLASSES = ("in_order", "def1_ooo", "def2_ooo")
 
 
-@dataclass
-class InterarrivalHistogram:
-    """Same-flow inter-arrival gaps in log2 bins, split by packet class."""
-
-    in_order: GapDistribution
-    def1_ooo: GapDistribution
-    def2_ooo: GapDistribution
-
-
-def _fill(dist: GapDistribution, gaps: np.ndarray) -> None:
-    """Put ``gaps`` (in trace order) into ``dist``, as ``add`` would one by one."""
-    if len(gaps) == 0:
-        return
+def _log2_bins(gaps: np.ndarray) -> dict[int, int]:
+    """Count ``floor(log2(max(gap, 1e-9)))`` per bin, bins ascending."""
     logs = np.log2(np.maximum(gaps, 1e-9))
     bins = np.floor(logs)
     # np.log2 may differ from math.log2 in the last bits, which moves the
@@ -246,41 +207,22 @@ def _fill(dist: GapDistribution, gaps: np.ndarray) -> None:
     for i in np.flatnonzero(np.abs(logs - np.rint(logs)) < 1e-9).tolist():
         bins[i] = math.floor(math.log2(max(float(gaps[i]), 1e-9)))
     values, counts = np.unique(bins.astype(np.int64), return_counts=True)
-    dist.counts = dict(zip(values.tolist(), counts.tolist()))
-    # np.cumsum adds in order, like repeated ``total_gap += gap``
-    dist.total_gap = float(np.cumsum(gaps)[-1])
-    dist.packets = len(gaps)
+    return dict(zip(values.tolist(), counts.tolist()))
 
 
-def interarrival_histogram(arrays: PacketArrays) -> InterarrivalHistogram:
-    """Classify every non-first packet by its reorder outcome and bin the
-    gap to its same-flow predecessor.  DEF1 and DEF2 are mutually exclusive
-    per packet pair, so the three distributions partition the packets."""
-    hist = InterarrivalHistogram(GapDistribution(), GapDistribution(), GapDistribution())
+def interarrival_histogram(arrays: PacketArrays) -> dict[str, dict[int, int]]:
+    """Same-flow inter-arrival gaps in log2 bins, per packet class.
+
+    Every non-first packet of a flow is classed by its ``flow_steps``
+    outcome (in order, DEF1 or DEF2; the two exclude each other) and its
+    gap to its flow predecessor is binned.  Returns ``{class: {bin_log2:
+    count}}`` for the ``INTERARRIVAL_CLASSES``."""
     order, step = flow_steps(arrays)
-    ts = arrays.ts[order]
-    # per packet in trace order: its class (the step: 0 in order, 1 DEF1,
-    # 2 DEF2, -1 for the first packet of a flow) and the gap to the packet
-    # sorted before it, which is its flow predecessor unless the class is -1
-    cls = np.empty_like(step)
-    cls[order] = step
-    gaps = np.zeros(len(arrays))
-    gaps[order[1:]] = ts[1:] - ts[:-1]
-    for k, dist in enumerate((hist.in_order, hist.def1_ooo, hist.def2_ooo)):
-        _fill(dist, gaps[cls == k])
-    return hist
-
-
-@dataclass
-class PrefixBreakdown:
-    """Per-prefix flow-size distribution and where the reordering lives.
-
-    ``ooo_fraction_by_bin`` is None for prefixes with no out-of-order
-    packets (the fraction is undefined there)."""
-
-    prefix: Prefix
-    flow_count_by_bin: dict[int, int]
-    ooo_fraction_by_bin: dict[int, float] | None
+    # the gap of each sorted packet to the one before it, which is its
+    # flow predecessor unless the packet is the first of its flow (step -1)
+    gaps = np.diff(arrays.ts[order])
+    step = step[1:]
+    return {name: _log2_bins(gaps[step == k]) for k, name in enumerate(INTERARRIVAL_CLASSES)}
 
 
 DEFAULT_SIZE_BINS = tuple(2**k for k in range(0, 21))
@@ -290,13 +232,16 @@ def flow_size_reorder_breakdown(
     stats: TraceStats,
     def_: ReorderDef,
     size_bins: Sequence[int] = DEFAULT_SIZE_BINS,
-) -> dict[Prefix, PrefixBreakdown]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """For each prefix: how many flows fall in each size bin, and what
     fraction of the prefix's out-of-order packets those flows contribute.
 
     ``size_bins`` are inclusive upper bounds; sizes above the last bound go
-    to an overflow bin with index ``len(size_bins)``.  Prefixes and bins
-    come in ascending order."""
+    to an overflow bin with index ``len(size_bins)``.  Returns four aligned
+    columns, one row per (prefix, bin) with flows, ordered by prefix and
+    then by bin: prefix bits, size bin, flow count and out-of-order
+    fraction.  The fraction is NaN where the prefix has no out-of-order
+    packet."""
     edges = list(size_bins)
     if edges != sorted(edges):
         raise ValueError("size_bins must be sorted ascending")
@@ -307,20 +252,9 @@ def flow_size_reorder_breakdown(
     group_ooo = np.zeros(len(groups), dtype=np.int64)
     np.add.at(group_ooo, group, stats.flow_ooo[:, def_.value - 1])
     rows, group_bins = np.divmod(groups, n_bins)
-    prefix_bits = stats.prefix_bits.tolist()
-    prefix_ooo = stats.prefix_ooo[:, def_.value - 1].tolist()
-    out: dict[Prefix, PrefixBreakdown] = {}
-    for row, bin_, count, ooo in zip(
-        rows.tolist(),
-        group_bins.tolist(),
-        np.bincount(group, minlength=len(groups)).tolist(),
-        group_ooo.tolist(),
-    ):
-        prefix = Prefix(prefix_bits[row])
-        if prefix not in out:
-            out[prefix] = PrefixBreakdown(prefix, {}, {} if prefix_ooo[row] > 0 else None)
-        entry = out[prefix]
-        entry.flow_count_by_bin[bin_] = count
-        if entry.ooo_fraction_by_bin is not None:
-            entry.ooo_fraction_by_bin[bin_] = ooo / prefix_ooo[row]
-    return out
+    prefix_ooo = stats.prefix_ooo[rows, def_.value - 1]
+    fraction = np.divide(
+        group_ooo, prefix_ooo, out=np.full(len(groups), math.nan), where=prefix_ooo > 0
+    )
+    flow_count = np.bincount(group, minlength=len(groups))
+    return stats.prefix_bits[rows], group_bins, flow_count, fraction

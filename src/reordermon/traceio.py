@@ -509,16 +509,29 @@ def filter_server_to_client(arrays: PacketArrays) -> PacketArrays:
     return arrays.subset((arrays.flow_src_port < arrays.flow_dst_port)[arrays.flow_id])
 
 
+# repr writes a float at or above 1e16 with a signed exponent ("1e+16"),
+# which the reader refuses as non-canonical
+MAX_TS = 1e16
+
+
 def write_trace_csv(arrays: PacketArrays, dest: IO[str]) -> None:
     """Write the canonical CSV; ``parse_trace`` reads it back exactly.
 
     Each row is the text of
     ``f"{ts!r},{src_ip},{dst_ip},{src_port},{dst_port},{seq},{payload_len}\\n"``
     with the addresses as dotted quads; seq and payload_len must not be
-    negative.
+    negative.  Raises ``ValueError``, before anything is written, if a ts
+    is not below ``MAX_TS``.
     """
     from . import csvtext  # compiled only by the commands that write a trace
 
+    # NaN included: written as "nan", it is refused too
+    late = np.flatnonzero(~(arrays.ts < MAX_TS))
+    if len(late):
+        i = int(late[0])
+        raise ValueError(
+            f"packet {i} has ts {float(arrays.ts[i])!r}; the trace format holds ts below 1e16"
+        )
     dest.write(TRACE_HEADER + "\n")
     for rows in csvtext.trace_rows(arrays):
         dest.write(rows)
@@ -540,6 +553,8 @@ def write_sidecar(arrays: PacketArrays, counts: np.ndarray, dest: IO[str]) -> No
 NOISY_EPISODE_LEN = 16  # packets in a noisy flow's loss episode
 NOISY_EPISODE_PROB = 0.3  # displacement probability inside an episode
 MAX_FLOW_SIZE = 4096  # flow sizes are clipped to [2, MAX_FLOW_SIZE]
+# timestamps reach a few times the duration, far below MAX_TS at this cap
+MAX_DURATION_SECONDS = 1e9
 MEAN_BURST_LEN = 16  # packets per burst (Poisson mean, at least 2)
 INTRA_BURST_GAP = 8e-6  # mean gap between the packets of a burst, seconds
 STALL_FRACTION = 0.3  # share of displaced packets that stall their flow
@@ -585,32 +600,48 @@ class SynthConfig:
             raise ValueError("displacement_max must be >= 1")
         if self.seed < 0:  # numpy's generators take no negative seed
             raise ValueError("seed must be >= 0")
-        if not 0.0 < self.duration_seconds < math.inf:
-            raise ValueError("duration_seconds must be finite and positive")
+        if not 0.0 < self.duration_seconds <= MAX_DURATION_SECONDS:
+            raise ValueError("duration_seconds must lie in (0, 1e9]")
         if not 2.0 <= self.mean_flow_size < math.inf:
             raise ValueError("mean_flow_size must be finite and >= 2")
-        for name in ("flows_per_prefix_zipf_exponent", "flow_size_zipf_exponent"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite")
         if not 0.0 <= self.noisy_flow_fraction <= 1.0:  # written so that NaN fails too
             raise ValueError("noisy_flow_fraction must lie in [0, 1]")
         if self.max_flows_per_prefix < 1:
             raise ValueError("max_flows_per_prefix must be >= 1")
+        # the generator sums each zipf's weights into its CDF, and the flow
+        # sizes' weights times k into their mean
+        for name, kmax, takes_mean in (
+            ("flows_per_prefix_zipf_exponent", self.max_flows_per_prefix, False),
+            ("flow_size_zipf_exponent", MAX_FLOW_SIZE, True),
+        ):
+            exponent = getattr(self, name)
+            if not math.isfinite(exponent):
+                raise ValueError(f"{name} must be finite")
+            ks, weights = _zipf_weights(exponent, kmax)
+            with np.errstate(over="ignore"):
+                sums = [np.cumsum(weights)[-1], np.sum(ks * weights) if takes_mean else 0.0]
+            if not np.isfinite(sums).all():
+                raise ValueError(f"{name} overflows the zipf weights on [1, {kmax}]")
+
+
+def _zipf_weights(exponent: float, kmax: int) -> tuple[np.ndarray, np.ndarray]:
+    """k = 1..kmax and the unnormalized power-law weights k^-exponent (inf
+    where they overflow, which ``SynthConfig.validate`` refuses)."""
+    ks = np.arange(1, kmax + 1, dtype=np.float64)
+    with np.errstate(over="ignore"):
+        return ks, ks ** (-exponent)
 
 
 def _bounded_zipf(rng: np.random.Generator, exponent: float, kmax: int, size: int) -> np.ndarray:
     """Power-law integers on [1, kmax] via inverse CDF."""
-    ks = np.arange(1, kmax + 1, dtype=np.float64)
-    pmf = ks ** (-exponent)
-    cdf = np.cumsum(pmf)
+    cdf = np.cumsum(_zipf_weights(exponent, kmax)[1])
     cdf /= cdf[-1]
     u = rng.random(size)
     return np.searchsorted(cdf, u, side="left") + 1
 
 
 def _bounded_zipf_mean(exponent: float, kmax: int) -> float:
-    ks = np.arange(1, kmax + 1, dtype=np.float64)
-    pmf = ks ** (-exponent)
+    ks, pmf = _zipf_weights(exponent, kmax)
     return float(np.sum(ks * pmf) / np.sum(pmf))
 
 
@@ -632,6 +663,9 @@ def generate_synthetic_arrays(cfg: SynthConfig) -> tuple[PacketArrays, np.ndarra
 
     raw = _bounded_zipf(rng, cfg.flow_size_zipf_exponent, MAX_FLOW_SIZE, n_flows)
     scale = cfg.mean_flow_size / _bounded_zipf_mean(cfg.flow_size_zipf_exponent, MAX_FLOW_SIZE)
+    # raw >= 1, so a scale above MAX_FLOW_SIZE puts every size at the cap
+    # anyway; capping the scale keeps raw * scale finite and inside int64
+    scale = min(scale, float(MAX_FLOW_SIZE))
     sizes = np.clip(np.round(raw * scale).astype(np.int64), 2, MAX_FLOW_SIZE)
 
     # flow endpoints: src host inside the prefix, unique client side

@@ -50,12 +50,18 @@ def test_generate_writes_trace_and_sidecar(tmp_path: Path) -> None:
         ("--duration", "nan"),
         ("--duration", "inf"),
         ("--duration", "0"),
+        # timestamps this late would be written with an exponent the reader refuses
+        ("--duration", "1e17"),
+        ("--duration", "1.5e9"),
         ("--max-flows", "0"),
         ("--mean-flow-size", "nan"),
         ("--mean-flow-size", "inf"),
         ("--mean-flow-size", "1.5"),
         ("--size-zipf", "nan"),
         ("--flows-zipf", "inf"),
+        # zipf weights that overflow a double
+        ("--size-zipf", "-400"),
+        ("--flows-zipf", "-400"),
         ("--noisy-fraction", "2"),
         ("--noisy-fraction", "-1"),
         ("--noisy-fraction", "nan"),
@@ -314,6 +320,9 @@ def test_bad_flag_value_is_usage_error(
         ("run", ("--algo", "array", "--r-hh", "0.1", "--d", "9"),
          "--algo array does not read --d, --r-hh"),
         ("run", ("--seeds", ","), "--seeds: empty item in ','"),
+        # a negative seed would draw the admission stream of its absolute value
+        ("run", ("--seeds", "-1"), "seeds must be >= 0"),
+        ("grid-hybrid", ("--seeds", "0,-2"), "seeds must be >= 0"),
         ("run", ("--buckets", "32,32"), "--buckets: 32 is listed twice in '32,32'"),
         ("run", ("--config", str(bad_config)), "unknown config keys: bogus-key"),
         ("run", ("--mode", "bogus"), "--mode: mode must be 'count' or 'fraction'"),

@@ -27,12 +27,12 @@ from reordermon.harness import (
 )
 from reordermon.heavyhitter import HHParams, ReorderHeavyHitter
 from reordermon.hybrid import HybridDetector, HybridParams
-from reordermon.model import ReorderDef
+from reordermon.model import FlowId, PacketRecord, ReorderDef
 from reordermon.oracle import compute_stats, mean_pearson_correlation
 from reordermon.sampling import FlowSamplingArray, SamplerParams
 from reordermon.traceio import PacketArrays, SynthConfig, generate_synthetic_arrays
 
-from conftest import per_packet_rows, report_rows, stats_tables
+from conftest import make_flow, per_packet_rows, report_rows, stats_tables
 
 
 @pytest.fixture(scope="module")
@@ -284,3 +284,46 @@ def test_memory_sweep_regression_curve() -> None:
     for buckets, expected in frozen.items():
         assert means[buckets] == pytest.approx(expected, abs=1e-12)
     assert means[8] <= means[32] <= means[128]
+
+
+def test_analyze_trace_file_text(tmp_path: Path) -> None:
+    """The exact text of three ``analyze`` files on a hand-built trace."""
+
+    def packets(flow: FlowId, seqs: list[int], start: float, gap: float) -> list[PacketRecord]:
+        return [PacketRecord(flow, seq, 100, start + i * gap) for i, seq in enumerate(seqs)]
+
+    records = sorted(
+        # 10.0.0.0/24: DEF1 drops to 1100, 1250 and 1050; DEF2 jumps to 1200, 1300
+        packets(make_flow(0, 0x0A000000), [1000, 1200, 1100, 1300, 1250], 0.0, 0.25)
+        + packets(make_flow(1, 0x0A000000), [1000, 1100, 1050], 0.125, 0.5)
+        # 10.0.1.0/24: in order, so its size fractions are undefined
+        + packets(make_flow(2, 0x0A000100), [1000, 1100, 1200, 1300], 0.0, 0.001)
+        # 10.0.2.0/24: one DEF2 jump
+        + packets(make_flow(3, 0x0A000200), [1000, 1300, 1400], 0.0625, 2.0),
+        key=lambda rec: rec.ts,
+    )
+    params = AnalysisParams(alpha=1, beta=3, pcc_repetitions=2)
+    analyze_trace(PacketArrays.from_records(records), tmp_path, params)
+    assert (tmp_path / "ground_truth.csv").read_text() == (
+        "def,prefix,packets,ooo\n"
+        "1,10.0.0.0/24,8,3\n"
+        "2,10.0.0.0/24,8,2\n"
+        "2,10.0.2.0/24,3,1\n"
+    )
+    assert (tmp_path / "interarrival.csv").read_text() == (
+        "class,bin_log2,count\n"
+        "in_order,-10,3\n"
+        "in_order,-1,1\n"
+        "in_order,1,1\n"
+        "def1_ooo,-2,2\n"
+        "def1_ooo,-1,1\n"
+        "def2_ooo,-2,2\n"
+        "def2_ooo,1,1\n"
+    )
+    assert (tmp_path / "size_breakdown.csv").read_text() == (
+        "prefix,size_bin,flow_count,ooo_fraction\n"
+        "10.0.0.0/24,2,1,0.3333333333333333\n"
+        "10.0.0.0/24,3,1,0.6666666666666666\n"
+        "10.0.1.0/24,2,1,\n"
+        "10.0.2.0/24,2,1,\n"
+    )

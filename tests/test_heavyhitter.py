@@ -279,6 +279,9 @@ def test_param_validation() -> None:
         params(buckets_per_stage=0)
     with pytest.raises(ValueError):
         HHParams(n_stages=2, buckets_per_stage=2, reorder_def=ReorderDef.DEF3_BELOW_MAX)
+    # random.Random(-1) draws the same admission stream as random.Random(1)
+    with pytest.raises(ValueError, match="rng_seed must be >= 0"):
+        params(rng_seed=-1)
 
 
 # --- batch path ---------------------------------------------------------------

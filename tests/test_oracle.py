@@ -11,11 +11,8 @@ from reordermon.harness import ExperimentSpec, truth_sets
 from reordermon.model import PREFIX_MASK, FlowId, PacketRecord, Prefix, ReorderDef
 from reordermon.oracle import (
     DEFAULT_SIZE_BINS,
-    GapDistribution,
-    GroundTruth,
-    InterarrivalHistogram,
+    INTERARRIVAL_CLASSES,
     PccSummary,
-    PrefixBreakdown,
     TraceStats,
     UndefinedCorrelationError,
     _pcc_pool,
@@ -79,15 +76,13 @@ def _ooo(entry: tuple[int, ...], def_: ReorderDef) -> int:
 
 
 def reference_ground_truth(
-    prefixes: PrefixTable, eps: float, alpha: int, beta: int, def_: ReorderDef
-) -> GroundTruth:
-    heavy = frozenset(
+    prefixes: PrefixTable, eps: float, beta: int, def_: ReorderDef
+) -> frozenset[Prefix]:
+    return frozenset(
         prefix
         for prefix, entry in prefixes.items()
         if entry[0] >= beta and _ooo(entry, def_) > eps * entry[0]
     )
-    small = frozenset(prefix for prefix, entry in prefixes.items() if entry[0] <= alpha)
-    return GroundTruth(heavy, small)
 
 
 def reference_alpha_set(
@@ -120,7 +115,10 @@ def reference_pcc_pool(
 
 def reference_breakdown(
     flows: FlowTable, prefixes: PrefixTable, def_: ReorderDef, size_bins=DEFAULT_SIZE_BINS
-) -> dict[Prefix, PrefixBreakdown]:
+) -> list[tuple[int, int, int, float]]:
+    """(prefix bits, size bin, flow count, fraction) rows, ordered by prefix
+    and then by bin; the fraction is NaN for a prefix with no out-of-order
+    packet."""
     edges = list(size_bins)
     per_prefix_counts: dict[Prefix, dict[int, int]] = {}
     per_prefix_ooo: dict[Prefix, dict[int, int]] = {}
@@ -131,20 +129,19 @@ def reference_breakdown(
         counts[bin_] = counts.get(bin_, 0) + 1
         ooo = per_prefix_ooo.setdefault(prefix, {})
         ooo[bin_] = ooo.get(bin_, 0) + _ooo(entry, def_)
-    out: dict[Prefix, PrefixBreakdown] = {}
-    for prefix, counts in per_prefix_counts.items():
+    rows = []
+    for prefix in sorted(per_prefix_counts, key=lambda p: p.bits):
         o_g = _ooo(prefixes[prefix], def_)
-        fractions = None
-        if o_g > 0:
-            fractions = {b: c / o_g for b, c in per_prefix_ooo[prefix].items()}
-        out[prefix] = PrefixBreakdown(prefix, counts, fractions)
-    return out
+        for bin_, count in sorted(per_prefix_counts[prefix].items()):
+            fraction = per_prefix_ooo[prefix][bin_] / o_g if o_g > 0 else math.nan
+            rows.append((prefix.bits, bin_, count, fraction))
+    return rows
 
 
-def reference_interarrival_histogram(arrays: PacketArrays) -> InterarrivalHistogram:
-    """Per-packet walk adding one gap at a time: the reference for the
+def reference_interarrival_histogram(arrays: PacketArrays) -> dict[str, dict[int, int]]:
+    """Per-packet walk binning one gap at a time: the reference for the
     sort-based ``interarrival_histogram``."""
-    hist = InterarrivalHistogram(GapDistribution(), GapDistribution(), GapDistribution())
+    hist: dict[str, dict[int, int]] = {name: {} for name in INTERARRIVAL_CLASSES}
     state: dict = {}  # flow id -> [last_seq, expected_next, last_ts]
     for fid, seq, length, ts in zip(
         arrays.flow_id.tolist(),
@@ -154,23 +151,25 @@ def reference_interarrival_histogram(arrays: PacketArrays) -> InterarrivalHistog
     ):
         st_ = state.get(fid)
         if st_ is not None:
-            gap = ts - st_[2]
+            bin_ = math.floor(math.log2(max(ts - st_[2], 1e-9)))
             if seq < st_[0]:
-                hist.def1_ooo.add(gap)
+                counts = hist["def1_ooo"]
             elif seq > st_[1]:
-                hist.def2_ooo.add(gap)
+                counts = hist["def2_ooo"]
             else:
-                hist.in_order.add(gap)
+                counts = hist["in_order"]
+            counts[bin_] = counts.get(bin_, 0) + 1
             st_[0] = seq
             st_[1] = seq + length
             st_[2] = ts
         else:
             state[fid] = [seq, seq + length, ts]
-    return hist
+    return {name: dict(sorted(counts.items())) for name, counts in hist.items()}
 
 
-def _bits(fractions: dict[int, float] | None):
-    return None if fractions is None else {b: f.hex() for b, f in fractions.items()}
+def _row_bits(rows) -> list[tuple[int, int, int, str]]:
+    """Breakdown rows with each fraction as its exact bits."""
+    return [(bits, bin_, count, fraction.hex()) for bits, bin_, count, fraction in rows]
 
 
 def assert_oracle_matches_reference(arrays: PacketArrays) -> None:
@@ -197,9 +196,9 @@ def assert_oracle_matches_reference(arrays: PacketArrays) -> None:
             if 0 < _ooo(entry, def_) < entry[0]
         ]
         for eps, alpha, beta in cases:
-            assert ground_truth(stats, eps, alpha, beta, def_) == reference_ground_truth(
-                ref_prefixes, eps, alpha, beta, def_
-            ), (eps, alpha, beta, def_)
+            assert ground_truth(stats, eps, beta, def_) == reference_ground_truth(
+                ref_prefixes, eps, beta, def_
+            ), (eps, beta, def_)
             if def_ is not DEF3 and alpha >= 1:
                 spec = ExperimentSpec(reorder_def=def_, alpha=alpha, beta=beta, eps=eps)
                 assert truth_sets(stats, spec)[1] == reference_alpha_set(
@@ -212,23 +211,17 @@ def assert_oracle_matches_reference(arrays: PacketArrays) -> None:
         assert ys.tobytes() == ref_ys.tobytes()
 
         for size_bins in (DEFAULT_SIZE_BINS, (1, 2, 4, 8), (3,), ()):
-            got = flow_size_reorder_breakdown(stats, def_, size_bins)
+            columns = flow_size_reorder_breakdown(stats, def_, size_bins)
+            got = zip(*(column.tolist() for column in columns))
             want = reference_breakdown(ref_flows, ref_prefixes, def_, size_bins)
-            assert list(got) == sorted(want, key=lambda p: p.bits)
-            for prefix, entry in got.items():
-                assert list(entry.flow_count_by_bin) == sorted(entry.flow_count_by_bin)
-                assert entry.flow_count_by_bin == want[prefix].flow_count_by_bin
-                assert _bits(entry.ooo_fraction_by_bin) == _bits(
-                    want[prefix].ooo_fraction_by_bin
-                )
+            assert _row_bits(got) == _row_bits(want)
 
     hist = interarrival_histogram(arrays)
     ref_hist = reference_interarrival_histogram(arrays)
-    for name in ("in_order", "def1_ooo", "def2_ooo"):
-        got, want = getattr(hist, name), getattr(ref_hist, name)
-        assert got.counts == want.counts, name
-        assert got.packets == want.packets, name
-        assert got.total_gap.hex() == want.total_gap.hex(), name
+    # list comparison: the bins must come in ascending order as well
+    assert [(name, list(counts.items())) for name, counts in hist.items()] == [
+        (name, list(counts.items())) for name, counts in ref_hist.items()
+    ]
 
 
 def _below(x: float) -> float:
@@ -298,7 +291,7 @@ def test_interarrival_bin_at_and_below_powers_of_two(gap: float) -> None:
     arrays = PacketArrays.from_records(
         [PacketRecord(make_flow(0), 1000, 100, 0.0), PacketRecord(make_flow(0), 1100, 100, gap)]
     )
-    assert interarrival_histogram(arrays).in_order.counts == {
+    assert interarrival_histogram(arrays)["in_order"] == {
         int(math.floor(math.log2(max(gap, 1e-9)))): 1
     }
     assert_oracle_matches_reference(arrays)
@@ -398,22 +391,17 @@ def _stats_with_prefixes(entries: list[tuple[int, int, int]]) -> TraceStats:
 
 def test_ground_truth_threshold_arithmetic() -> None:
     stats = _stats_with_prefixes([(128, 2, 3), (127, 100, 3), (128, 1, 3)])
-    truth = ground_truth(stats, eps=0.01, alpha=16, beta=128, def_=DEF1)
-    bits = sorted(p.bits & 0xFF00 for p in truth.heavy_set)
+    truth = ground_truth(stats, eps=0.01, beta=128, def_=DEF1)
+    bits = sorted(p.bits & 0xFF00 for p in truth)
     assert bits == [0 << 8]  # only the first prefix: 2 > 1.28
-    assert truth.small_exempt_set == frozenset()
 
 
-def test_ground_truth_small_exemption_and_validation() -> None:
+def test_ground_truth_size_threshold_and_validation() -> None:
     stats = _stats_with_prefixes([(10, 5, 2), (200, 50, 2)])
-    truth = ground_truth(stats, eps=0.01, alpha=16, beta=128, def_=DEF1)
-    assert len(truth.small_exempt_set) == 1
-    assert len(truth.heavy_set) == 1
-    assert not (truth.heavy_set & truth.small_exempt_set)
+    truth = ground_truth(stats, eps=0.01, beta=128, def_=DEF1)
+    assert [p.bits & 0xFF00 for p in truth] == [1 << 8]
     with pytest.raises(ValueError):
-        ground_truth(stats, eps=0.0, alpha=16, beta=128, def_=DEF1)
-    with pytest.raises(ValueError):
-        ground_truth(stats, eps=0.01, alpha=128, beta=128, def_=DEF1)
+        ground_truth(stats, eps=0.0, beta=128, def_=DEF1)
 
 
 def two_flow_prefix(i: int, seqs: list[int]) -> list[PacketRecord]:
@@ -514,15 +502,12 @@ def test_interarrival_uniform_gaps_single_bin() -> None:
     for i, rec in enumerate(records):
         rec.ts = i * 0.001
     hist = interarrival_histogram(PacketArrays.from_records(records))
-    assert hist.def1_ooo.packets == 0 and hist.def2_ooo.packets == 0
-    assert hist.in_order.counts == {-10: 10}  # floor(log2(0.001))
-    assert hist.in_order.mean_gap == pytest.approx(0.001)
+    assert hist == {"in_order": {-10: 10}, "def1_ooo": {}, "def2_ooo": {}}  # floor(log2(0.001))
 
 
 def test_interarrival_empty_trace() -> None:
     hist = interarrival_histogram(PacketArrays.from_records([]))
-    assert hist.in_order.packets == 0
-    assert hist.def1_ooo.counts == {} and hist.def2_ooo.counts == {}
+    assert hist == {"in_order": {}, "def1_ooo": {}, "def2_ooo": {}}
 
 
 def test_interarrival_displaced_packets_arrive_later() -> None:
@@ -538,32 +523,36 @@ def test_interarrival_displaced_packets_arrive_later() -> None:
         )
     )
     hist = interarrival_histogram(arrays)
-    assert hist.def1_ooo.packets > 50
-    assert hist.def1_ooo.mean_gap >= hist.in_order.mean_gap
+
+    def mean_bin(counts: dict[int, int]) -> float:
+        return sum(bin_ * count for bin_, count in counts.items()) / sum(counts.values())
+
+    assert sum(hist["def1_ooo"].values()) > 50
+    assert mean_bin(hist["def1_ooo"]) >= mean_bin(hist["in_order"])
 
 
 def test_breakdown_single_flow_prefix() -> None:
     records = flow_packets(make_flow(0), [1000, 1200, 1100] + [1300 + 100 * i for i in range(7)])
     stats = compute_stats(PacketArrays.from_records(records))
-    breakdown = flow_size_reorder_breakdown(stats, DEF1, size_bins=(4, 16, 64))
-    entry = next(iter(breakdown.values()))
-    assert entry.flow_count_by_bin == {1: 1}  # 10 packets -> bin (4, 16]
-    assert entry.ooo_fraction_by_bin == {1: 1.0}
+    _, bins, counts, fractions = flow_size_reorder_breakdown(stats, DEF1, size_bins=(4, 16, 64))
+    assert bins.tolist() == [1] and counts.tolist() == [1]  # 10 packets -> bin (4, 16]
+    assert fractions.tolist() == [1.0]
 
 
 def test_breakdown_zero_ooo_prefix_flagged() -> None:
     records = flow_packets(make_flow(0), [1000, 1100, 1200])
     stats = compute_stats(PacketArrays.from_records(records))
-    entry = next(iter(flow_size_reorder_breakdown(stats, DEF1).values()))
-    assert entry.ooo_fraction_by_bin is None
+    fractions = flow_size_reorder_breakdown(stats, DEF1)[3]
+    assert len(fractions) == 1 and math.isnan(fractions[0])
 
 
 def test_breakdown_fractions_sum_to_one() -> None:
     arrays = PacketArrays.from_records(random_trace(13, n_packets=600, n_flows=12, n_prefixes=3))
     stats = compute_stats(arrays)
     _, prefixes = stats_tables(stats, arrays)
-    for entry in flow_size_reorder_breakdown(stats, DEF1).values():
-        if entry.ooo_fraction_by_bin is not None:
-            assert math.isclose(sum(entry.ooo_fraction_by_bin.values()), 1.0)
-        counts = sum(entry.flow_count_by_bin.values())
-        assert counts == prefixes[entry.prefix][1]
+    bits, _, counts, fractions = flow_size_reorder_breakdown(stats, DEF1)
+    for prefix, (_, flows, *_) in prefixes.items():
+        rows = bits == prefix.bits
+        assert counts[rows].sum() == flows
+        if not np.isnan(fractions[rows]).all():
+            assert math.isclose(fractions[rows].sum(), 1.0)

@@ -3,6 +3,8 @@ from __future__ import annotations
 import dataclasses
 import io
 import math
+import re
+import sys
 import tempfile
 from pathlib import Path
 from unittest import mock
@@ -24,6 +26,7 @@ from reordermon.model import (
 )
 from reordermon.oracle import compute_stats
 from reordermon.traceio import (
+    MAX_FLOW_SIZE,
     PacketArrays,
     SIDECAR_HEADER,
     SynthConfig,
@@ -386,8 +389,16 @@ def any_traces(draw) -> PacketArrays:
 def test_write_trace_csv_matches_per_row_writer(arrays: PacketArrays, block_rows: int) -> None:
     buf = io.StringIO()
     with mock.patch.object(csvtext, "_WRITE_ROWS", block_rows):
-        write_trace_csv(arrays, buf)
-    assert buf.getvalue() == per_row_csv(arrays)
+        # the rows hold any float as repr writes it; the writer refuses the
+        # ts that the reader would refuse
+        rows = "".join(csvtext.trace_rows(arrays))
+        if (arrays.ts < traceio.MAX_TS).all():
+            write_trace_csv(arrays, buf)
+            assert buf.getvalue() == TRACE_HEADER + "\n" + rows
+        else:
+            with pytest.raises(ValueError, match="holds ts below 1e16"):
+                write_trace_csv(arrays, buf)
+    assert TRACE_HEADER + "\n" + rows == per_row_csv(arrays)
 
 
 def test_write_trace_csv_empty_trace_and_negative_field() -> None:
@@ -399,6 +410,27 @@ def test_write_trace_csv_empty_trace_and_negative_field() -> None:
     arrays.seq[3] = -1
     with pytest.raises(ValueError, match="negative"):
         write_trace_csv(arrays, io.StringIO())
+
+
+def one_flow(ts: list[float]) -> PacketArrays:
+    flow = FlowId(0x0A000001, 0xAC100001, 443, 10000)
+    return PacketArrays.from_records(
+        [PacketRecord(flow, 1000 + 100 * i, 100, t) for i, t in enumerate(ts)]
+    )
+
+
+def test_write_trace_csv_refuses_ts_from_1e16(tmp_path) -> None:
+    # repr writes 1e16 as "1e+16", whose sign the reader refuses
+    below = float(np.nextafter(1e16, 0.0))
+    path = tmp_path / "trace.csv"
+    with open(path, "w", encoding="ascii", newline="\n") as out:
+        write_trace_csv(one_flow([0.5, below]), out)
+    assert parse_trace(path)[0].ts.tolist() == [0.5, below]
+    for ts in (1e16, 1e17, math.inf, math.nan):
+        buf = io.StringIO()
+        with pytest.raises(ValueError, match=re.escape(f"packet 2 has ts {ts!r};")):
+            write_trace_csv(one_flow([0.5, below, ts, ts]), buf)
+        assert buf.getvalue() == ""  # not even the header
 
 
 @settings(max_examples=100, deadline=None)
@@ -489,6 +521,8 @@ def test_invalid_configs_rejected() -> None:
         ("duration_seconds", math.nan),
         ("duration_seconds", math.inf),
         ("duration_seconds", 0.0),
+        ("duration_seconds", float(np.nextafter(traceio.MAX_DURATION_SECONDS, math.inf))),
+        ("duration_seconds", 1e17),
         ("mean_flow_size", math.nan),
         ("mean_flow_size", math.inf),
         ("mean_flow_size", 1.9),
@@ -501,7 +535,41 @@ def test_invalid_configs_rejected() -> None:
     ):
         with pytest.raises(ValueError):
             dataclasses.replace(SynthConfig(n_prefixes=4), **{field: value}).validate()
-    SynthConfig(n_prefixes=2**16, noisy_flow_fraction=1.0, flow_size_zipf_exponent=-1.0).validate()
+    SynthConfig(
+        n_prefixes=2**16, noisy_flow_fraction=1.0, flow_size_zipf_exponent=-1.0,
+        duration_seconds=traceio.MAX_DURATION_SECONDS,
+    ).validate()
+
+
+@pytest.mark.filterwarnings("error")
+def test_huge_mean_flow_size_saturates() -> None:
+    for mean in (1e6, 1e300, sys.float_info.max):
+        arrays, _ = generate_synthetic_arrays(
+            SynthConfig(n_prefixes=4, mean_flow_size=mean, max_flows_per_prefix=2,
+                        duration_seconds=0.1)
+        )
+        assert set(np.bincount(arrays.flow_id).tolist()) == {MAX_FLOW_SIZE}
+
+
+@pytest.mark.filterwarnings("error")
+def test_overflowing_zipf_exponents_are_refused() -> None:
+    # the largest flow-size exponent whose weights times k still sum to a
+    # finite double, and the next one down
+    fits, overflows = -83.86741197512957, -83.86741197512958
+    for field, value in (
+        ("flow_size_zipf_exponent", -400.0),
+        ("flow_size_zipf_exponent", overflows),
+        ("flows_per_prefix_zipf_exponent", -400.0),
+    ):
+        with pytest.raises(ValueError, match=f"{field} overflows"):
+            dataclasses.replace(SynthConfig(n_prefixes=4), **{field: value}).validate()
+    arrays, _ = generate_synthetic_arrays(
+        SynthConfig(n_prefixes=4, flow_size_zipf_exponent=fits, max_flows_per_prefix=2,
+                    duration_seconds=0.1)
+    )
+    # such a steep law draws every raw size near the top, which scales to
+    # about the mean of 48, not to the 2-packet flows of an overflow
+    assert np.bincount(arrays.flow_id).min() > 2
 
 
 def test_port_out_of_range_rejected() -> None:
@@ -551,8 +619,9 @@ def _seed_text(row: str) -> str:
 
 @st.composite
 def canonical_traces(draw) -> str:
-    """``write_trace_csv`` text of a small random trace, zero-payload rows
-    included."""
+    """The rows ``write_trace_csv`` writes for a small random trace,
+    zero-payload rows included, and also for ts from 1e16 on, which the
+    writer refuses and the reader must refuse as well."""
     n_flows = draw(st.integers(1, 4))
     flows = [
         (
@@ -586,9 +655,7 @@ def canonical_traces(draw) -> str:
         flow_src_port=np.array([f[2] for f in flows], dtype=np.int64),
         flow_dst_port=np.array([f[3] for f in flows], dtype=np.int64),
     )
-    buf = io.StringIO()
-    write_trace_csv(arrays, buf)
-    return buf.getvalue()
+    return TRACE_HEADER + "\n" + "".join(csvtext.trace_rows(arrays))
 
 
 @st.composite
