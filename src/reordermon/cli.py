@@ -307,7 +307,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         )
     _bind("load_trace_arrays", "run_experiment", "result_rows", "RESULT_COLUMNS", "write_csv")
     arrays = load_trace_arrays(args.trace)
-    rows = result_rows(run_experiment(arrays, spec))
+    rows = result_rows(spec, run_experiment(arrays, spec))
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     write_csv(out_dir / "results.csv", RESULT_COLUMNS, rows)
@@ -323,7 +323,7 @@ def _cmd_grid_hybrid(args: argparse.Namespace) -> int:
     results, best = grid_search_hybrid(arrays, spec)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    write_csv(out_dir / "results.csv", RESULT_COLUMNS, result_rows(results))
+    write_csv(out_dir / "results.csv", RESULT_COLUMNS, result_rows(spec, results))
     write_csv(out_dir / "best_x.csv", ("buckets", "best_hh_fraction", "mean_accuracy"), best)
     print(f"grid search written to {out_dir}")
     return 0
@@ -372,10 +372,7 @@ def _cmd_validate_lemma(args: argparse.Namespace) -> int:
                 f"(threshold {result.threshold_checks:.2f} checks, "
                 f"mean {result.mean_checks:.2f})"
             )
-        row = {"name": name}
-        for key, value in dataclasses.asdict(result).items():
-            row[key] = int(value) if isinstance(value, bool) else value  # vacuous, holds: 0/1
-        rows.append(row)
+        rows.append({"name": name, **dataclasses.asdict(result)})
     if args.out:
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)

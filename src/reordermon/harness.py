@@ -7,8 +7,9 @@ so identical invocations produce byte-identical artifacts.
 
 from __future__ import annotations
 
+import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 from typing import TYPE_CHECKING, Optional, Sequence
 
@@ -16,6 +17,7 @@ from .controlplane import AggregatorMode, AggregatorParams, ReportAggregator
 from .metrics import EvalResult, accuracy, communication_overhead, false_positive_rate
 from .model import Prefix, ReorderDef
 from .oracle import (
+    PccSummary,
     TraceStats,
     UndefinedCorrelationError,
     compute_stats,
@@ -71,26 +73,24 @@ class ExperimentSpec:
             raise ValueError("alpha must be smaller than beta")
         if not 0.0 < self.eps < 1.0:
             raise ValueError("eps must lie in (0, 1)")
-        for name, values in (
-            ("bucket_counts", self.bucket_counts),
-            ("seeds", self.seeds),
-            ("hh_fractions", self.fractions),
-        ):
-            if not values:
-                raise ValueError(f"{name} must not be empty")
+        configurations = self.configurations()
+        if not configurations:  # hh_fractions counts only for the hybrid
+            for name in ("bucket_counts", "seeds", "hh_fractions"):
+                if not getattr(self, name):
+                    raise ValueError(f"{name} must not be empty")
         if min(self.seeds) < 0:  # random.Random(-s) draws as random.Random(s)
             raise ValueError("seeds must be >= 0")
         # build every parameter set a run uses, so a bad value fails here,
         # before any trace is read
         aggregator_params(self)
-        for buckets in self.bucket_counts:
-            for x in self.fractions:
-                detector_params(self, buckets, x, seed=0)
+        for config in configurations:
+            detector_params(self, *config)
 
-    @property
-    def fractions(self) -> tuple[float, ...]:
-        """HH memory fractions to run; NaN stands for "not a hybrid"."""
-        return self.hh_fractions if self.algorithm == "hybrid" else (math.nan,)
+    def configurations(self) -> list[tuple[int, Optional[float], int]]:
+        """(buckets, hh_fraction, seed) of each run, in results order;
+        hh_fraction is None outside the hybrid."""
+        fractions = self.hh_fractions if self.algorithm == "hybrid" else (None,)
+        return list(itertools.product(self.bucket_counts, fractions, self.seeds))
 
 
 def load_trace_arrays(path: str | Path) -> PacketArrays:
@@ -163,7 +163,7 @@ def hh_params(spec: ExperimentSpec, buckets_per_stage: int, seed: int) -> HHPara
 
 
 def detector_params(
-    spec: ExperimentSpec, buckets: int, hh_fraction: float, seed: int
+    spec: ExperimentSpec, buckets: int, hh_fraction: Optional[float], seed: int
 ) -> SamplerParams | HHParams | HybridParams:
     """Parameters of the ``spec.algorithm`` detector at one configuration.
 
@@ -218,7 +218,7 @@ def collect_reports(
     arrays: PacketArrays,
     spec: ExperimentSpec,
     buckets: int,
-    hh_fraction: float,
+    hh_fraction: Optional[float],
     seed: int,
 ) -> ReportColumns:
     """Stream the trace through one freshly built detector; eviction reports
@@ -240,39 +240,6 @@ def truth_sets(
     return beta_set, alpha_set
 
 
-def evaluate_reports(
-    reports: ReportColumns,
-    stream_length: int,
-    beta_set: frozenset[Prefix],
-    alpha_set: frozenset[Prefix],
-    spec: ExperimentSpec,
-    buckets: int,
-    hh_fraction: float,
-    seed: int,
-) -> EvalResult:
-    """Aggregate the report stream and score it against the ground truth."""
-    aggregator = ReportAggregator()
-    aggregator.ingest_all(reports)
-    output = aggregator.finalize(aggregator_params(spec))
-    return EvalResult(
-        accuracy=accuracy(output, beta_set),
-        false_positive_rate=false_positive_rate(output, alpha_set),
-        communication_overhead=communication_overhead(len(reports), stream_length),
-        seed=seed,
-        params={
-            "algorithm": spec.algorithm,
-            "def": spec.reorder_def.value,
-            "buckets": buckets,
-            "hh_fraction": "" if math.isnan(hh_fraction) else hh_fraction,
-            "mode": spec.mode.value,
-            "report_all": int(spec.report_all),
-            "report_count": len(reports),
-            "output_size": len(output),
-            "truth_size": len(beta_set),
-        },
-    )
-
-
 RESULT_COLUMNS = (
     "algorithm",
     "def",
@@ -290,38 +257,44 @@ RESULT_COLUMNS = (
 )
 
 
-def result_rows(results: Sequence[EvalResult]) -> list[dict]:
-    """Flatten results into the CSV row shape (RESULT_COLUMNS order)."""
-    rows = []
-    for res in results:
-        row = dict(res.params)
-        row.update(
-            seed=res.seed,
-            accuracy=res.accuracy,
-            false_positive_rate=res.false_positive_rate,
-            communication_overhead=res.communication_overhead,
-        )
-        rows.append(row)
-    return rows
+def result_rows(spec: ExperimentSpec, results: Sequence[EvalResult]) -> list[dict]:
+    """The results.csv rows: the run's own cells and each result's fields."""
+    run = {
+        "algorithm": spec.algorithm,
+        "def": spec.reorder_def.value,
+        "mode": spec.mode.value,
+        "report_all": spec.report_all,
+    }
+    return [{**run, **asdict(res)} for res in results]
 
 
 def run_experiment(
     arrays: PacketArrays, spec: ExperimentSpec, stats: Optional[TraceStats] = None
 ) -> list[EvalResult]:
-    """One result per (buckets, hh_fraction, seed) configuration."""
+    """One result per configuration, in ``spec.configurations()`` order: the
+    detector's report stream aggregated and scored against the ground truth."""
     if stats is None:
         stats = compute_stats(arrays)
     beta_set, alpha_set = truth_sets(stats, spec)
     results = []
-    for buckets in spec.bucket_counts:
-        for x in spec.fractions:
-            for seed in spec.seeds:
-                reports = collect_reports(arrays, spec, buckets, x, seed)
-                results.append(
-                    evaluate_reports(
-                        reports, len(arrays), beta_set, alpha_set, spec, buckets, x, seed
-                    )
-                )
+    for buckets, x, seed in spec.configurations():
+        reports = collect_reports(arrays, spec, buckets, x, seed)
+        aggregator = ReportAggregator()
+        aggregator.ingest_all(reports)
+        output = aggregator.finalize(aggregator_params(spec))
+        results.append(
+            EvalResult(
+                buckets=buckets,
+                hh_fraction=x,
+                seed=seed,
+                accuracy=accuracy(output, beta_set),
+                false_positive_rate=false_positive_rate(output, alpha_set),
+                communication_overhead=communication_overhead(len(reports), len(arrays)),
+                report_count=len(reports),
+                output_size=len(output),
+                truth_size=len(beta_set),
+            )
+        )
     return results
 
 
@@ -329,7 +302,8 @@ def grid_search_hybrid(
     arrays: PacketArrays, spec: ExperimentSpec, stats: Optional[TraceStats] = None
 ) -> tuple[list[EvalResult], list[dict]]:
     """Evaluate the hybrid split over the fraction grid; per bucket count,
-    pick the x maximizing mean accuracy over seeds (ties -> smaller x)."""
+    pick the x maximizing mean accuracy over seeds.  Of the x that tie at
+    the best mean, the smallest wins, whatever order ``hh_fractions`` has."""
     if spec.algorithm != "hybrid":
         raise ValueError("grid search applies to the hybrid algorithm")
     results = run_experiment(arrays, spec, stats)
@@ -337,11 +311,9 @@ def grid_search_hybrid(
     for buckets in spec.bucket_counts:
         best_x = None
         best_acc = -1.0
-        for x in spec.hh_fractions:
+        for x in sorted(spec.hh_fractions):
             accs = [
-                res.accuracy
-                for res in results
-                if res.params["buckets"] == buckets and res.params["hh_fraction"] == x
+                res.accuracy for res in results if res.buckets == buckets and res.hh_fraction == x
             ]
             mean_acc = sum(accs) / len(accs)
             if mean_acc > best_acc:
@@ -448,29 +420,12 @@ def analyze_trace(
                 sample_fraction=params.pcc_sample_fraction,
                 seed=params.pcc_seed,
             )
-            row = {
-                "def": def_.value,
-                "mean_r": summary.mean_r,
-                "repetitions": summary.repetitions,
-                "undefined_repetitions": summary.undefined_repetitions,
-                "n_samples": summary.n_samples,
-            }
         except UndefinedCorrelationError:
             # tiny or reorder-free traces: every sample had zero variance;
             # record that instead of aborting the whole characterization
-            row = {
-                "def": def_.value,
-                "mean_r": "",
-                "repetitions": 0,
-                "undefined_repetitions": params.pcc_repetitions,
-                "n_samples": 0,
-            }
-        pcc_rows.append(row)
-    write_csv(
-        out / "pcc.csv",
-        ("def", "mean_r", "repetitions", "undefined_repetitions", "n_samples"),
-        pcc_rows,
-    )
+            summary = PccSummary(math.nan, 0, params.pcc_repetitions, 0)
+        pcc_rows.append({"def": def_.value, **asdict(summary)})
+    write_csv(out / "pcc.csv", ("def", *(f.name for f in fields(PccSummary))), pcc_rows)
 
     hist_rows = [
         {"class": name, "bin_log2": bin_, "count": count}
@@ -484,7 +439,7 @@ def analyze_trace(
             "prefix": Prefix(bits).dotted(),
             "size_bin": bin_,
             "flow_count": count,
-            "ooo_fraction": "" if math.isnan(fraction) else fraction,
+            "ooo_fraction": fraction,
         }
         for bits, bin_, count, fraction in zip(
             *(column.tolist() for column in flow_size_reorder_breakdown(stats, d1))

@@ -2,8 +2,8 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import AbstractSet
+from dataclasses import dataclass
+from typing import AbstractSet, Optional
 
 from .model import Prefix
 
@@ -38,8 +38,15 @@ def communication_overhead(report_count: int, stream_length: int) -> float:
 
 @dataclass(frozen=True)
 class EvalResult:
+    """One configuration's scores: the ``results.csv`` cells of one row but
+    the run-level ones.  ``hh_fraction`` is None outside the hybrid."""
+
+    buckets: int
+    hh_fraction: Optional[float]
+    seed: int
     accuracy: float
     false_positive_rate: float
     communication_overhead: float
-    seed: int
-    params: dict = field(default_factory=dict)
+    report_count: int
+    output_size: int
+    truth_size: int

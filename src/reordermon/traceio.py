@@ -102,9 +102,14 @@ class PacketArrays:
         negative = np.flatnonzero(payload_len < 0)
         if len(negative):
             raise ValueError(f"record {negative[0]}: negative payload_len {lens[negative[0]]}")
+        ts = np.asarray(tss, dtype=np.float64)
+        # a NaN gap has no inter-arrival bin, and no trace file holds one
+        non_finite = np.flatnonzero(~np.isfinite(ts))
+        if len(non_finite):
+            raise ValueError(f"record {non_finite[0]}: non-finite ts {tss[non_finite[0]]!r}")
         flows = list(flow_index)
         return cls(
-            ts=np.asarray(tss, dtype=np.float64),
+            ts=ts,
             seq=np.asarray(seqs, dtype=np.int64),
             payload_len=payload_len,
             flow_id=np.asarray(fids, dtype=np.int64),
@@ -514,24 +519,66 @@ def filter_server_to_client(arrays: PacketArrays) -> PacketArrays:
 MAX_TS = 1e16
 
 
+def _check_writable(arrays: PacketArrays) -> None:
+    """Raise the ``ValueError`` of ``write_trace_csv``, naming the first bad
+    packet, else the first bad flow."""
+    ts = arrays.ts
+    decreasing = np.zeros(len(ts), dtype=bool)
+    decreasing[1:] = ts[1:] < ts[:-1]
+    packet_ints = [(name, getattr(arrays, name), 32) for name in ("seq", "payload_len")]
+    flow_ints = [
+        (name, getattr(arrays, f"flow_{name}"), bits)
+        for name, bits in (("src_ip", 32), ("dst_ip", 32), ("src_port", 16), ("dst_port", 16))
+    ]
+    # ~(ts < MAX_TS) holds for NaN too
+    bad = decreasing | np.signbit(ts) | ~(ts < MAX_TS) | _out_of_range(packet_ints)
+    if bad.any():
+        i = int(np.argmax(bad))
+        t = float(ts[i])
+        if not t < MAX_TS:
+            raise ValueError(f"packet {i} has ts {t!r}; the trace format holds ts below 1e16")
+        if math.copysign(1.0, t) < 0:
+            raise ValueError(f"packet {i} has negative ts {t!r}")
+        if decreasing[i]:
+            before = float(ts[i - 1])
+            raise ValueError(f"packet {i} has ts {t!r}, below the ts {before!r} before it")
+        _raise_out_of_range(f"packet {i}", packet_ints, i)
+    bad = _out_of_range(flow_ints)
+    if bad.any():
+        i = int(np.argmax(bad))
+        _raise_out_of_range(f"flow {i}", flow_ints, i)
+
+
+def _out_of_range(columns: list[tuple[str, np.ndarray, int]]) -> np.ndarray:
+    """Where any of the (name, values, bits) columns leaves [0, 2^bits)."""
+    return np.logical_or.reduce([(v < 0) | (v >= 1 << bits) for _, v, bits in columns])
+
+
+def _raise_out_of_range(what: str, columns: list[tuple[str, np.ndarray, int]], i: int) -> None:
+    for name, values, bits in columns:
+        value = int(values[i])
+        if value < 0:
+            raise ValueError(f"{what} has negative {name} {value}")
+        if value >= 1 << bits:
+            raise ValueError(
+                f"{what} has {name} {value}; the trace format holds {name} below 2^{bits}"
+            )
+
+
 def write_trace_csv(arrays: PacketArrays, dest: IO[str]) -> None:
     """Write the canonical CSV; ``parse_trace`` reads it back exactly.
 
     Each row is the text of
     ``f"{ts!r},{src_ip},{dst_ip},{src_port},{dst_port},{seq},{payload_len}\\n"``
-    with the addresses as dotted quads; seq and payload_len must not be
-    negative.  Raises ``ValueError``, before anything is written, if a ts
-    is not below ``MAX_TS``.
+    with the addresses as dotted quads.  Raises ``ValueError``, before
+    anything is written, for a trace the reader would refuse or read back
+    otherwise: a ts outside [0, 1e16) (-0.0 included, written with its
+    sign) or below the one before, a seq or payload_len outside [0, 2^32),
+    an address outside [0, 2^32) or a port outside [0, 2^16).
     """
     from . import csvtext  # compiled only by the commands that write a trace
 
-    # NaN included: written as "nan", it is refused too
-    late = np.flatnonzero(~(arrays.ts < MAX_TS))
-    if len(late):
-        i = int(late[0])
-        raise ValueError(
-            f"packet {i} has ts {float(arrays.ts[i])!r}; the trace format holds ts below 1e16"
-        )
+    _check_writable(arrays)
     dest.write(TRACE_HEADER + "\n")
     for rows in csvtext.trace_rows(arrays):
         dest.write(rows)

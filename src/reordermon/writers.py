@@ -7,11 +7,18 @@ writes a table (``validate-lemma``) loads neither.
 from __future__ import annotations
 
 import json
+import math
 from pathlib import Path
 from typing import Iterable, Sequence
 
 
 def _fmt(value) -> str:
+    """A cell's text: None and NaN leave it empty, a bool is 0 or 1, and a
+    float is written as ``repr`` writes it."""
+    if value is None or (isinstance(value, float) and math.isnan(value)):
+        return ""
+    if isinstance(value, bool):
+        return str(int(value))
     if isinstance(value, float):
         return repr(value)
     return str(value)

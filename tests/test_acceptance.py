@@ -222,8 +222,8 @@ def test_c05_detection_power_memory_sweep() -> None:
         algorithm="array", bucket_counts=(32, 1024), seeds=(0, 1, 2, 3, 4)
     )
     results = run_experiment(arrays, spec, stats)
-    acc32 = sum(r.accuracy for r in results if r.params["buckets"] == 32) / 5
-    acc1024 = sum(r.accuracy for r in results if r.params["buckets"] == 1024) / 5
+    acc32 = sum(r.accuracy for r in results if r.buckets == 32) / 5
+    acc1024 = sum(r.accuracy for r in results if r.buckets == 1024) / 5
     elapsed = time.perf_counter() - start
     assert acc32 >= 0.35
     assert acc1024 > acc32

@@ -511,3 +511,66 @@ def test_run_def2_end_to_end(trace_path: Path, tmp_path: Path) -> None:
     ) == 0
     row = (out / "results.csv").read_text().splitlines()[1]
     assert row.split(",")[1] == "2"
+
+
+RESULT_HEADER = (
+    "algorithm,def,buckets,hh_fraction,seed,mode,report_all,accuracy,false_positive_rate,"
+    "communication_overhead,report_count,output_size,truth_size\n"
+)
+
+
+def test_result_files_text(tmp_path: Path) -> None:
+    """The exact text of ``results.csv``, ``best_x.csv`` and
+    ``check_guarantee.csv`` on a small generated trace: an empty
+    ``hh_fraction`` outside the hybrid, ``report_all`` and the lemma's
+    ``vacuous``/``holds`` as 0/1, and a grid whose two splits tie."""
+    trace = str(tmp_path / "t.csv")
+    assert run_cli(
+        "generate", "--out", trace, "--prefixes", "12", "--duration", "0.3",
+        "--bad-fraction", "0.5", "--bad-prob", "0.1", "--seed", "3",
+    ) == 0
+    small = ("--alpha", "4", "--beta", "16")
+
+    def text(*parts: str) -> str:
+        return (tmp_path.joinpath(*parts)).read_text()
+
+    assert run_cli(
+        "run", "--trace", trace, "--out", str(tmp_path / "arr"), "--algo", "array",
+        "--buckets", "4,16", "--seeds", "0,1", *small,
+    ) == 0
+    assert text("arr", "results.csv") == RESULT_HEADER + (
+        "array,1,4,,0,count,0,0.5,0.0,0.012567324955116697,14,2,4\n"
+        "array,1,4,,1,count,0,0.75,0.0,0.013464991023339317,15,3,4\n"
+        "array,1,16,,0,count,0,0.75,0.0,0.013464991023339317,15,3,4\n"
+        "array,1,16,,1,count,0,1.0,0.0,0.01526032315978456,17,4,4\n"
+    )
+
+    assert run_cli(
+        "run", "--trace", trace, "--out", str(tmp_path / "all"), "--algo", "array",
+        "--buckets", "8", "--seeds", "0", "--report-all", "--mode", "fraction", *small,
+    ) == 0
+    assert text("all", "results.csv") == RESULT_HEADER + (
+        "array,1,8,,0,fraction,1,1.0,0.0,0.10323159784560143,115,4,4\n"
+    )
+
+    assert run_cli(
+        "grid-hybrid", "--trace", trace, "--out", str(tmp_path / "grid"), "--buckets", "16",
+        "--hh-fraction", "0.25,0.75", "--seeds", "0,1", *small,
+    ) == 0
+    assert text("grid", "results.csv") == RESULT_HEADER + (
+        "hybrid,1,16,0.25,0,count,0,0.5,0.0,0.004488330341113106,5,2,4\n"
+        "hybrid,1,16,0.25,1,count,0,1.0,0.0,0.0062836624775583485,7,4,4\n"
+        "hybrid,1,16,0.75,0,count,0,0.75,0.0,0.00718132854578097,8,3,4\n"
+        "hybrid,1,16,0.75,1,count,0,0.75,0.0,0.0062836624775583485,7,3,4\n"
+    )
+    # both splits reach a mean accuracy of 0.75: the tie goes to the smaller
+    assert text("grid", "best_x.csv") == "buckets,best_hh_fraction,mean_accuracy\n16,0.25,0.75\n"
+
+    assert run_cli(
+        "validate-lemma", "--preset", "two-equal-flows", "--trials", "20",
+        "--out", str(tmp_path / "lemma"),
+    ) == 0
+    assert text("lemma", "check_guarantee.csv") == (
+        "name,trials,threshold_checks,mean_checks,success_fraction,failure_bound,vacuous,holds\n"
+        "two-equal-flows,20,100.0,237.4,1.0,1.6511037634633316e-11,0,1\n"
+    )

@@ -53,8 +53,10 @@ def small_workload() -> PacketArrays:
 def test_run_experiment_row_per_configuration(small_workload: PacketArrays) -> None:
     spec = ExperimentSpec(algorithm="array", bucket_counts=(16, 64), seeds=(0, 1))
     results = run_experiment(small_workload, spec)
-    assert len(results) == 4
-    rows = result_rows(results)
+    configurations = [(16, None, 0), (16, None, 1), (64, None, 0), (64, None, 1)]
+    assert spec.configurations() == configurations
+    assert [(res.buckets, res.hh_fraction, res.seed) for res in results] == configurations
+    rows = result_rows(spec, results)
     for res, row in zip(results, rows):
         assert set(RESULT_COLUMNS) <= set(row)
         assert 0.0 <= res.accuracy <= 1.0
@@ -91,7 +93,7 @@ def test_truth_sets_alpha_vs_beta(small_workload: PacketArrays) -> None:
 def test_report_all_fraction_mode_cuts_false_positives(small_workload: PacketArrays) -> None:
     stats = compute_stats(small_workload)
     base = ExperimentSpec(algorithm="array", bucket_counts=(32,), seeds=(0, 1, 2))
-    plain_rows = result_rows(run_experiment(small_workload, base, stats))
+    plain_rows = result_rows(base, run_experiment(small_workload, base, stats))
     strict = ExperimentSpec(
         algorithm="array",
         bucket_counts=(32,),
@@ -100,7 +102,7 @@ def test_report_all_fraction_mode_cuts_false_positives(small_workload: PacketArr
         mode=AggregatorMode.FRACTION,
         scale_c=0.5,
     )
-    strict_rows = result_rows(run_experiment(small_workload, strict, stats))
+    strict_rows = result_rows(strict, run_experiment(small_workload, strict, stats))
     mean_fp_plain = sum(r["false_positive_rate"] for r in plain_rows) / 3
     mean_fp_strict = sum(r["false_positive_rate"] for r in strict_rows) / 3
     mean_ovh_plain = sum(r["communication_overhead"] for r in plain_rows) / 3
@@ -141,12 +143,13 @@ def test_grid_search_tie_breaks_to_smaller_x() -> None:
         )
     )
     stats = compute_stats(arrays)
-    spec = ExperimentSpec(
-        algorithm="hybrid", bucket_counts=(64,), hh_fractions=(0.3, 0.6), seeds=(0, 1)
-    )
-    results, best = grid_search_hybrid(arrays, spec, stats)
-    assert all(res.accuracy == 1.0 for res in results)
-    assert best[0]["best_hh_fraction"] == 0.3
+    for fractions in ((0.3, 0.6), (0.6, 0.3)):
+        spec = ExperimentSpec(
+            algorithm="hybrid", bucket_counts=(64,), hh_fractions=fractions, seeds=(0, 1)
+        )
+        results, best = grid_search_hybrid(arrays, spec, stats)
+        assert all(res.accuracy == 1.0 for res in results)
+        assert best[0]["best_hh_fraction"] == 0.3, fractions
 
 
 def test_grid_search_requires_hybrid(small_workload: PacketArrays) -> None:
@@ -189,8 +192,8 @@ def test_collect_reports_never_runs_per_packet(
         monkeypatch.setattr(cls, "process_packet", refuse)
     for algo in ("array", "hh", "hybrid"):
         spec = ExperimentSpec(algorithm=algo, bucket_counts=(16,), seeds=(0,))
-        for x in spec.fractions:
-            assert len(collect_reports(small_workload, spec, 16, x, 0))
+        for buckets, x, seed in spec.configurations():
+            assert len(collect_reports(small_workload, spec, buckets, x, seed))
 
 
 def test_analyze_trace_writes_all_artifacts(tmp_path: Path, small_workload: PacketArrays) -> None:
@@ -217,6 +220,9 @@ def test_write_csv_formatting(tmp_path: Path) -> None:
     path = tmp_path / "out.csv"
     write_csv(path, ("a", "b"), [{"a": 1, "b": 0.5}, {"a": "x", "b": 2.0}])
     assert path.read_text() == "a,b\n1,0.5\nx,2.0\n"
+    # the one place that writes an empty or a boolean cell
+    write_csv(path, ("a", "b"), [{"a": None, "b": float("nan")}, {"a": True, "b": False}])
+    assert path.read_text() == "a,b\n,\n1,0\n"
 
 
 def test_defaults_pin_the_standard_evaluation_setup() -> None:
@@ -277,7 +283,7 @@ def test_memory_sweep_regression_curve() -> None:
     spec = ExperimentSpec(algorithm="array", bucket_counts=(8, 32, 128), seeds=(0, 1, 2))
     results = run_experiment(arrays, spec, stats)
     means = {
-        buckets: sum(r.accuracy for r in results if r.params["buckets"] == buckets) / 3
+        buckets: sum(r.accuracy for r in results if r.buckets == buckets) / 3
         for buckets in (8, 32, 128)
     }
     frozen = {8: 0.6944444444444445, 32: 0.7222222222222222, 128: 0.888888888888889}

@@ -52,6 +52,16 @@ def test_communication_overhead() -> None:
 def test_eval_result_shape() -> None:
     from reordermon.metrics import EvalResult
 
-    res = EvalResult(0.5, 0.1, 0.01, seed=3, params={"buckets": 32})
+    res = EvalResult(
+        buckets=32,
+        hh_fraction=None,
+        seed=3,
+        accuracy=0.5,
+        false_positive_rate=0.1,
+        communication_overhead=0.01,
+        report_count=10,
+        output_size=2,
+        truth_size=4,
+    )
     assert res.accuracy == 0.5
-    assert res.params["buckets"] == 32
+    assert res.buckets == 32 and res.hh_fraction is None

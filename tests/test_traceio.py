@@ -207,6 +207,15 @@ def test_from_records_rejects_negative_payload() -> None:
         PacketArrays.from_records(records)
 
 
+@pytest.mark.parametrize("ts", [math.nan, math.inf, -math.inf])
+def test_from_records_rejects_non_finite_ts(ts: float) -> None:
+    # a NaN gap has no inter-arrival bin; parse_trace refuses such a row too
+    flow = FlowId(0x0A000001, 0xAC100001, 443, 10000)
+    records = [PacketRecord(flow, 1000 + 100 * i, 100, t) for i, t in enumerate([0.0, ts, 1.0])]
+    with pytest.raises(ValueError, match=re.escape(f"record 1: non-finite ts {ts!r}")):
+        PacketArrays.from_records(records)
+
+
 def reference_steps(arrays: PacketArrays) -> list[int]:
     """Per packet in trace order, from a walk with ``is_out_of_order``: -1
     for a flow's first packet, else the value of the definition the packet
@@ -383,6 +392,21 @@ def any_traces(draw) -> PacketArrays:
     )
 
 
+def format_holds(arrays: PacketArrays) -> bool:
+    """The trace format's rule, one value at a time: ts in [0, 1e16) without
+    a sign and nondecreasing, seq, payload_len and addresses in [0, 2^32),
+    ports in [0, 2^16)."""
+    ts = arrays.ts.tolist()
+    u32 = [arrays.seq, arrays.payload_len, arrays.flow_src_ip, arrays.flow_dst_ip]
+    u16 = [arrays.flow_src_port, arrays.flow_dst_port]
+    return (
+        all(0.0 <= t < traceio.MAX_TS and math.copysign(1.0, t) > 0 for t in ts)
+        and all(a <= b for a, b in zip(ts, ts[1:]))
+        and all(0 <= v < 2**32 for column in u32 for v in column.tolist())
+        and all(0 <= v < 2**16 for column in u16 for v in column.tolist())
+    )
+
+
 @pytest.mark.parametrize("block_rows", [csvtext._WRITE_ROWS, 1, 3])
 @settings(max_examples=150, deadline=None)
 @given(arrays=any_traces())
@@ -390,14 +414,15 @@ def test_write_trace_csv_matches_per_row_writer(arrays: PacketArrays, block_rows
     buf = io.StringIO()
     with mock.patch.object(csvtext, "_WRITE_ROWS", block_rows):
         # the rows hold any float as repr writes it; the writer refuses the
-        # ts that the reader would refuse
+        # traces that the format cannot hold
         rows = "".join(csvtext.trace_rows(arrays))
-        if (arrays.ts < traceio.MAX_TS).all():
+        if format_holds(arrays):
             write_trace_csv(arrays, buf)
             assert buf.getvalue() == TRACE_HEADER + "\n" + rows
         else:
-            with pytest.raises(ValueError, match="holds ts below 1e16"):
+            with pytest.raises(ValueError):
                 write_trace_csv(arrays, buf)
+            assert buf.getvalue() == ""
     assert TRACE_HEADER + "\n" + rows == per_row_csv(arrays)
 
 
@@ -413,10 +438,13 @@ def test_write_trace_csv_empty_trace_and_negative_field() -> None:
 
 
 def one_flow(ts: list[float]) -> PacketArrays:
+    """One flow's packets at ``ts``; the ts column is set after
+    ``from_records``, which refuses a non-finite one."""
     flow = FlowId(0x0A000001, 0xAC100001, 443, 10000)
-    return PacketArrays.from_records(
-        [PacketRecord(flow, 1000 + 100 * i, 100, t) for i, t in enumerate(ts)]
+    arrays = PacketArrays.from_records(
+        [PacketRecord(flow, 1000 + 100 * i, 100, 0.0) for i in range(len(ts))]
     )
+    return dataclasses.replace(arrays, ts=np.array(ts, dtype=np.float64))
 
 
 def test_write_trace_csv_refuses_ts_from_1e16(tmp_path) -> None:
@@ -431,6 +459,39 @@ def test_write_trace_csv_refuses_ts_from_1e16(tmp_path) -> None:
         with pytest.raises(ValueError, match=re.escape(f"packet 2 has ts {ts!r};")):
             write_trace_csv(one_flow([0.5, below, ts, ts]), buf)
         assert buf.getvalue() == ""  # not even the header
+
+
+@pytest.mark.parametrize(
+    "columns,message",
+    [
+        # the reader refuses each of these
+        ({"ts": [-0.5, 1.0]}, "packet 0 has negative ts -0.5"),
+        ({"ts": [-0.0, 1.0]}, "packet 0 has negative ts -0.0"),  # written as "-0.0"
+        ({"ts": [2.0, 1.0]}, "packet 1 has ts 1.0, below the ts 2.0 before it"),
+        ({"seq": [2**32, 1100]}, "packet 0 has seq 4294967296;"),
+        ({"seq": [1000, -3]}, "packet 1 has negative seq -3"),
+        ({"payload_len": [100, 2**32]}, "packet 1 has payload_len 4294967296;"),
+        ({"flow_src_port": [2**16]}, "flow 0 has src_port 65536;"),
+        ({"flow_dst_port": [-1]}, "flow 0 has negative dst_port -1"),
+        ({"flow_dst_ip": [-1]}, "flow 0 has negative dst_ip -1"),
+        # and reads this one back as 10.0.0.1
+        ({"flow_src_ip": [2**32 + 0x0A000001]}, "flow 0 has src_ip 4462739457;"),
+        # the first bad packet is named, and a bad packet before a bad flow
+        ({"ts": [1.0, 0.5], "seq": [-1, 1100], "flow_src_port": [-1]}, "packet 0 has negative"),
+        ({"seq": [1000, 2**32], "flow_dst_port": [2**16]}, "packet 1 has seq"),
+    ],
+)
+def test_write_trace_csv_refuses_what_the_format_cannot_hold(
+    columns: dict[str, list], message: str
+) -> None:
+    arrays = one_flow([0.5, 1.5])
+    for name, values in columns.items():
+        dtype = getattr(arrays, name).dtype
+        arrays = dataclasses.replace(arrays, **{name: np.array(values, dtype=dtype)})
+    buf = io.StringIO()
+    with pytest.raises(ValueError, match=re.escape(message)):
+        write_trace_csv(arrays, buf)
+    assert buf.getvalue() == ""  # not even the header
 
 
 @settings(max_examples=100, deadline=None)
