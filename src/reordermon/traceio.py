@@ -13,7 +13,9 @@ the oracle and the batch detector path all work on its columns, so
 multi-million packet traces stay cheap.  ``PacketArrays.iter_records``
 gives the per-packet view the reference detectors consume, and
 ``flow_steps`` the columnar out-of-order test the oracle and the batch
-paths read.
+paths read.  Both readers and ``PacketArrays.from_records`` number flows
+with one constructor, in the order of each flow's first row; the generator
+keeps its own order, in which it writes the sidecar.
 """
 
 from __future__ import annotations
@@ -86,17 +88,16 @@ class PacketArrays:
 
     @classmethod
     def from_records(cls, records: Iterable[PacketRecord]) -> "PacketArrays":
-        flow_index: dict[FlowId, int] = {}
-        fids, seqs, lens, tss = [], [], [], []
+        seqs, lens, tss, src_ips, dst_ips, src_ports, dst_ports = ([] for _ in range(7))
         for rec in records:
-            fid = flow_index.get(rec.flow)
-            if fid is None:
-                fid = len(flow_index)
-                flow_index[rec.flow] = fid
-            fids.append(fid)
+            flow = rec.flow
             seqs.append(rec.seq)
             lens.append(rec.payload_len)
             tss.append(rec.ts)
+            src_ips.append(flow.src_ip)
+            dst_ips.append(flow.dst_ip)
+            src_ports.append(flow.src_port)
+            dst_ports.append(flow.dst_port)
         payload_len = np.asarray(lens, dtype=np.int64)
         # a negative payload could make one packet break DEF1 and DEF2 at once
         negative = np.flatnonzero(payload_len < 0)
@@ -107,17 +108,9 @@ class PacketArrays:
         non_finite = np.flatnonzero(~np.isfinite(ts))
         if len(non_finite):
             raise ValueError(f"record {non_finite[0]}: non-finite ts {tss[non_finite[0]]!r}")
-        flows = list(flow_index)
-        return cls(
-            ts=ts,
-            seq=np.asarray(seqs, dtype=np.int64),
-            payload_len=payload_len,
-            flow_id=np.asarray(fids, dtype=np.int64),
-            flow_src_ip=np.asarray([f.src_ip for f in flows], dtype=np.int64),
-            flow_dst_ip=np.asarray([f.dst_ip for f in flows], dtype=np.int64),
-            flow_src_port=np.asarray([f.src_port for f in flows], dtype=np.int64),
-            flow_dst_port=np.asarray([f.dst_port for f in flows], dtype=np.int64),
-        )
+        columns = (seqs, src_ips, dst_ips, src_ports, dst_ports)
+        seq, *fields = (np.asarray(values, dtype=np.int64) for values in columns)
+        return _from_columns(ts, seq, payload_len, *fields)
 
     def subset(self, index: np.ndarray) -> "PacketArrays":
         """The packets picked by ``index`` (a mask or sorted positions), in
@@ -142,6 +135,56 @@ class PacketArrays:
             yield PacketRecord(flows[fid], seq, length, ts)
 
 
+def _from_columns(
+    ts: np.ndarray, seq: np.ndarray, payload_len: np.ndarray,
+    src_ip: np.ndarray, dst_ip: np.ndarray, src_port: np.ndarray, dst_port: np.ndarray,
+) -> PacketArrays:
+    """The trace of these packet columns, its flows numbered in the order of
+    their first row; each flow's table entries are that row's addresses and
+    ports."""
+    _, first, row_flow = np.unique(
+        _flow_keys(src_ip, dst_ip, src_port, dst_port), return_index=True, return_inverse=True
+    )
+    order = np.argsort(first)
+    flow_id = np.empty_like(order)
+    flow_id[order] = np.arange(order.size)
+    first = first[order]
+    return PacketArrays(
+        ts=ts,
+        seq=seq,
+        payload_len=payload_len,
+        flow_id=flow_id[row_flow],
+        flow_src_ip=src_ip[first],
+        flow_dst_ip=dst_ip[first],
+        flow_src_port=src_port[first],
+        flow_dst_port=dst_port[first],
+    )
+
+
+def _flow_keys(*fields: np.ndarray) -> np.ndarray:
+    """Per row, one uint64 for its (src_ip, dst_ip, src_port, dst_port), the
+    same for the rows of one flow only: the fields in mixed radix, each a
+    digit as wide as its range.  A field wider than 2^32 (only an in-memory
+    trace holds one) goes in as its rank, and where the next digit would not
+    fit, the key so far is first replaced by its rank."""
+    key = np.zeros(len(fields[0]), dtype=np.uint64)
+    if not len(key):
+        return key
+    span = 1  # the key is below span
+    for field in fields:
+        low = field.min()
+        width = int(field.max()) - int(low) + 1
+        if width > 1 << 32:
+            field, low = np.unique(field, return_inverse=True)[1], 0
+            width = int(field.max()) + 1
+        if span * width > 1 << 64:
+            key = np.unique(key, return_inverse=True)[1].view(np.uint64)
+            span = int(key.max()) + 1
+        key = key * np.uint64(width) + (field - low).view(np.uint64)
+        span *= width
+    return key
+
+
 def group_order(ids: np.ndarray, n_ids: int) -> np.ndarray:
     """The stable argsort of ``ids`` (each in [0, n_ids)): grouped by id,
     packet order kept within a group.  The ids are sorted in the narrowest
@@ -159,7 +202,12 @@ def flow_steps(arrays: PacketArrays) -> tuple[np.ndarray, np.ndarray]:
     ``ReorderDef`` value of the definition it breaks against the packet
     before it in its flow (1: seq below the previous seq; 2: seq beyond
     the previous seq + payload_len), else 0.  The two exclude each other
-    because payload_len is never negative."""
+    because payload_len is never negative: a ``ValueError`` names the first
+    packet with a negative one."""
+    negative = np.flatnonzero(arrays.payload_len < 0)
+    if len(negative):
+        i = int(negative[0])
+        raise ValueError(f"packet {i} has negative payload_len {int(arrays.payload_len[i])}")
     order = group_order(arrays.flow_id, arrays.flow_count)
     fid = arrays.flow_id[order]
     seq = arrays.seq[order]
@@ -204,7 +252,10 @@ def parse_trace(path: str | Path) -> tuple[PacketArrays, TraceMeta]:
         with open(path, encoding="ascii", errors="surrogateescape") as handle:
             arrays = _parse_lines(handle)
     else:
-        arrays = _flow_arrays(*columns)
+        if not columns[2].all():  # payload_len
+            kept = np.flatnonzero(columns[2])
+            columns = [column[kept] for column in columns]
+        arrays = _from_columns(*columns)
     # every flow of a parsed trace has a packet
     return arrays, flow_table_meta(arrays)
 
@@ -217,22 +268,10 @@ def flow_table_meta(arrays: PacketArrays) -> TraceMeta:
     return TraceMeta(
         packet_count=len(arrays),
         flow_count=arrays.flow_count,
-        prefix_count=int(_distinct(arrays.flow_prefix_bits).size),
+        # a bare np.unique imports numpy.ma (12-21 ms on a cold start)
+        prefix_count=np.unique(arrays.flow_prefix_bits, return_inverse=True)[0].size,
         duration_seconds=arrays.duration_seconds,
     )
-
-
-def _distinct(values: np.ndarray) -> np.ndarray:
-    """``np.unique(values)`` of a 1-D array without NaN.  A bare
-    ``np.unique`` imports ``numpy.ma`` (12-21 ms on a cold start) to rule
-    out a masked array.  Its ``return_inverse`` form skips that import too,
-    but on the 4.7M address keys of a parse it peaks at 184 MiB against
-    76 MiB for this sort."""
-    ordered = np.sort(values)
-    first = np.empty(ordered.size, dtype=bool)
-    first[:1] = True
-    np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
-    return ordered[first]
 
 
 def _parse_lines(handle: IO[str]) -> PacketArrays:
@@ -326,9 +365,8 @@ def _canonical_columns(data: bytes) -> Optional[tuple[np.ndarray, ...]]:
     leading zero, below 2^16 and 2^32.  This only detects a departure from
     that form; the line reader finds and names it.
 
-    Returns ts, seq, payload_len and the packed port pair of every row, its
-    source and destination address as an index into the two address tables,
-    and those two tables.
+    Returns the columns ts, seq, payload_len, src_ip, dst_ip, src_port and
+    dst_port, in the argument order of ``_from_columns``.
     """
     header = TRACE_HEADER.encode() + b"\n"
     allowed = b"0123456789,.-e\n"
@@ -341,9 +379,7 @@ def _canonical_columns(data: bytes) -> Optional[tuple[np.ndarray, ...]]:
     pos = len(header)
     n_rows = data.count(b"\n", pos) + (not data.endswith(b"\n"))
     ts = np.empty(n_rows, dtype=np.float64)
-    seq, payload_len, ports, src_key, dst_key = (
-        np.empty(n_rows, dtype=np.int64) for _ in range(5)
-    )
+    columns = (ts, *(np.empty(n_rows, dtype=np.int64) for _ in range(6)))
     row = 0
     while pos < len(data):
         cut = data.find(b"\n", pos + _BLOCK_BYTES - 1)
@@ -352,62 +388,16 @@ def _canonical_columns(data: bytes) -> Optional[tuple[np.ndarray, ...]]:
         if block is None:
             return None
         stop = row + len(block[0])
-        for column, values in zip((ts, seq, payload_len, ports, src_key, dst_key), block):
+        for column, values in zip(columns, block):
             column[row:stop] = values
         row, pos = stop, end
-    # each distinct address is parsed once, kept row or not
-    addresses = []
-    for keys in (src_key, dst_key):
-        distinct = _distinct(keys)
-        try:
-            table = np.array([ip_to_int(ip) for ip in _ip_strings(distinct)], dtype=np.int64)
-        except ValueError:
-            return None
-        addresses.append((np.searchsorted(distinct, keys), table))
-    (src_row, src_table), (dst_row, dst_table) = addresses
-    return ts, seq, payload_len, ports, src_row, dst_row, src_table, dst_table
-
-
-def _flow_arrays(
-    ts: np.ndarray,
-    seq: np.ndarray,
-    payload_len: np.ndarray,
-    ports: np.ndarray,
-    src_row: np.ndarray,
-    dst_row: np.ndarray,
-    src_table: np.ndarray,
-    dst_table: np.ndarray,
-) -> PacketArrays:
-    """Drop the zero-payload rows and number the flows in the order of their
-    first kept row, as ``PacketArrays.from_records`` does."""
-    if not payload_len.all():
-        kept = np.flatnonzero(payload_len)
-        ts, seq, payload_len = ts[kept], seq[kept], payload_len[kept]
-        ports, src_row, dst_row = ports[kept], src_row[kept], dst_row[kept]
-    pair = src_row * len(dst_table) + dst_row
-    if len(src_table) * len(dst_table) > 1 << 31:  # keep pair << 32 inside int64
-        pair = np.unique(pair, return_inverse=True)[1]
-    _, first, row_flow = np.unique((pair << 32) | ports, return_index=True, return_inverse=True)
-    order = np.argsort(first)
-    flow_id = np.empty_like(order)
-    flow_id[order] = np.arange(order.size)
-    first = first[order]
-    return PacketArrays(
-        ts=ts,
-        seq=seq,
-        payload_len=payload_len,
-        flow_id=flow_id[row_flow],
-        flow_src_ip=src_table[src_row[first]],
-        flow_dst_ip=dst_table[dst_row[first]],
-        flow_src_port=ports[first] >> 16,
-        flow_dst_port=ports[first] & 0xFFFF,
-    )
+    return columns
 
 
 def _parse_block(chunk: np.ndarray, prev_ts: float) -> Optional[tuple[np.ndarray, ...]]:
-    """ts, seq, payload_len, the packed port pair and the two address keys
-    of the rows in ``chunk`` (bytes of the allowed class, whole lines);
-    None if a row is not canonical."""
+    """The seven columns of ``_canonical_columns`` for the rows in ``chunk``
+    (bytes of the allowed class, whole lines); None if a row is not
+    canonical."""
     buf = np.zeros(len(chunk) + 2 * _PAD, dtype=np.uint8)
     buf[_PAD : _PAD + len(chunk)] = chunk
     if chunk[-1] != ord("\n"):
@@ -428,15 +418,14 @@ def _parse_block(chunk: np.ndarray, prev_ts: float) -> Optional[tuple[np.ndarray
         ts,
         _uints(buf, commas[:, 4] + 1, commas[:, 5], 10, _SEQ_LIMIT),
         _uints(buf, commas[:, 5] + 1, ends, 10, _SEQ_LIMIT),
-        _ip_keys(buf, commas[:, 0] + 1, commas[:, 1]),
-        _ip_keys(buf, commas[:, 1] + 1, commas[:, 2]),
+        _addresses(buf, commas[:, 0] + 1, commas[:, 1]),
+        _addresses(buf, commas[:, 1] + 1, commas[:, 2]),
         _uints(buf, commas[:, 2] + 1, commas[:, 3], 5, 1 << 16),
         _uints(buf, commas[:, 3] + 1, commas[:, 4], 5, 1 << 16),
     )
     if any(column is None for column in columns) or ts[0] < prev_ts:
         return None
-    ts, seq, payload_len, src_key, dst_key, src_port, dst_port = columns
-    return ts, seq, payload_len, (src_port << 16) | dst_port, src_key, dst_key
+    return columns
 
 
 def _timestamps(buf: np.ndarray, first: np.ndarray, stop: np.ndarray) -> Optional[np.ndarray]:
@@ -482,26 +471,33 @@ def _uints(
     return value
 
 
-def _ip_keys(buf: np.ndarray, first: np.ndarray, stop: np.ndarray) -> Optional[np.ndarray]:
-    """The fields buf[first:stop], of digits and dots, each packed four bits
-    a byte into one int64 (``_ip_strings`` reverses it); None otherwise."""
-    if int((stop - first).max()) > 15:
-        return None
-    codes = sliding_window_view(buf, 15)[first] - np.uint8(ord(","))  # '.' 2, digits 4-13
-    codes *= np.arange(15) < (stop - first)[:, None]  # zero the bytes after the field
-    if codes.max() > 13 or np.any(codes == ord("-") - ord(",")):
-        return None
-    keys = np.zeros(len(first), dtype=np.int64)
-    for column in codes.T:
-        keys <<= 4
-        keys |= column
-    return keys
-
-
-def _ip_strings(keys: np.ndarray) -> list[str]:
-    codes = (keys[:, None] >> np.arange(56, -1, -4)) & 15
-    chars = np.where(codes > 0, codes + ord(","), 0).astype(np.uint8)
-    return [ip.decode("ascii") for ip in chars.view("S15")[:, 0].tolist()]
+def _addresses(buf: np.ndarray, first: np.ndarray, stop: np.ndarray) -> Optional[np.ndarray]:
+    """The dotted quads buf[first:stop] as 32-bit integers, read as
+    ``ip_to_int`` reads them (four octets of 1-3 digits, no leading zero, at
+    most 255); None otherwise.  Octet by octet for all rows at once: the
+    byte after an octet's one to three digits must be a dot, or after the
+    fourth octet the field's end."""
+    value = np.zeros(len(first), dtype=np.int64)
+    bad = np.zeros(len(first), dtype=bool)
+    at = first
+    for octet in range(4):
+        d = buf[at + np.arange(3)[:, None]] - np.uint8(ord("0"))  # a non-digit is above 9
+        digit = d <= 9
+        two = digit[1]
+        three = two & digit[2]
+        bad |= ~digit[0] | (two & (d[0] == 0))
+        v = d[0].astype(np.int64)
+        v *= 1 + 9 * two
+        v += d[1] * two
+        v *= 1 + 9 * three
+        v += d[2] * three
+        bad |= v > 255
+        at = at + 1 + two + three  # the byte after the octet: a dot, or the field's end
+        bad |= (buf[at] != ord(".")) if octet < 3 else (at != stop)
+        at = at + 1
+        value <<= 8
+        value |= v
+    return None if bad.any() else value
 
 
 def filter_server_to_client(arrays: PacketArrays) -> PacketArrays:
@@ -532,6 +528,7 @@ def _check_writable(arrays: PacketArrays) -> None:
     ]
     # ~(ts < MAX_TS) holds for NaN too
     bad = decreasing | np.signbit(ts) | ~(ts < MAX_TS) | _out_of_range(packet_ints)
+    bad |= arrays.payload_len == 0
     if bad.any():
         i = int(np.argmax(bad))
         t = float(ts[i])
@@ -543,6 +540,7 @@ def _check_writable(arrays: PacketArrays) -> None:
             before = float(ts[i - 1])
             raise ValueError(f"packet {i} has ts {t!r}, below the ts {before!r} before it")
         _raise_out_of_range(f"packet {i}", packet_ints, i)
+        raise ValueError(f"packet {i} has payload_len 0; the reader drops a zero-payload row")
     bad = _out_of_range(flow_ints)
     if bad.any():
         i = int(np.argmax(bad))
@@ -566,7 +564,7 @@ def _raise_out_of_range(what: str, columns: list[tuple[str, np.ndarray, int]], i
 
 
 def write_trace_csv(arrays: PacketArrays, dest: IO[str]) -> None:
-    """Write the canonical CSV; ``parse_trace`` reads it back exactly.
+    """Write the canonical CSV; ``parse_trace`` reads its packets back exactly.
 
     Each row is the text of
     ``f"{ts!r},{src_ip},{dst_ip},{src_port},{dst_port},{seq},{payload_len}\\n"``
@@ -574,7 +572,10 @@ def write_trace_csv(arrays: PacketArrays, dest: IO[str]) -> None:
     anything is written, for a trace the reader would refuse or read back
     otherwise: a ts outside [0, 1e16) (-0.0 included, written with its
     sign) or below the one before, a seq or payload_len outside [0, 2^32),
-    an address outside [0, 2^32) or a port outside [0, 2^16).
+    a zero payload_len, an address outside [0, 2^32) or a port outside
+    [0, 2^16).  The reader numbers the flows in the order of their first
+    row, so the flow ids and tables it returns are those of
+    ``PacketArrays.from_records(arrays.iter_records())``.
     """
     from . import csvtext  # compiled only by the commands that write a trace
 

@@ -451,6 +451,30 @@ def test_data_error_exit_code(tmp_path: Path) -> None:
     assert run_cli("run", "--trace", str(tmp_path / "missing.csv"), "--out", str(tmp_path / "o")) == 2
 
 
+@pytest.mark.parametrize(
+    "src,dst,message",
+    [
+        ("10.0.01.1", "10.0.1.1", "octet with a leading zero in '10.0.01.1'"),
+        ("10.0.0.256", "10.0.1.1", "octet out of range in '10.0.0.256'"),
+        ("10.0.0.1.5", "10.0.1.1", "not a dotted-quad address: '10.0.0.1.5'"),
+        ("10..0.1", "10.0.1.1", "invalid literal for int() with base 10: ''"),
+        ("10.0.0.1", "10.0.1.", "invalid literal for int() with base 10: ''"),
+        ("10.0.0.1", "100.100.100.1001", "octet out of range in '100.100.100.1001'"),
+    ],
+)
+def test_malformed_address_is_data_error_naming_its_line(
+    src: str, dst: str, message: str, tmp_path: Path, capsys: pytest.CaptureFixture
+) -> None:
+    # leading zero, 256, five octets, empty octet, trailing dot, 16 characters
+    trace = tmp_path / "bad.csv"
+    trace.write_text(
+        f"{TRACE_HEADER}\n0.1,10.0.0.1,10.0.1.1,443,50000,900,100\n"
+        f"0.2,{src},{dst},443,50000,1000,100\n"
+    )
+    code = run_cli("run", "--trace", str(trace), "--out", str(tmp_path / "o"))
+    assert (code, capsys.readouterr().err) == (2, f"error: line 3: {message}\n")
+
+
 def test_config_file_supplies_defaults_and_flags_override(
     trace_path: Path, tmp_path: Path
 ) -> None:

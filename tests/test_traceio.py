@@ -11,7 +11,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from reordermon import csvtext, traceio
 from reordermon.model import (
@@ -22,9 +22,11 @@ from reordermon.model import (
     advance_state,
     initial_state,
     int_to_ip,
+    ip_to_int,
     is_out_of_order,
 )
 from reordermon.oracle import compute_stats
+from reordermon.sampling import FlowSamplingArray, SamplerParams
 from reordermon.traceio import (
     MAX_FLOW_SIZE,
     PacketArrays,
@@ -216,6 +218,18 @@ def test_from_records_rejects_non_finite_ts(ts: float) -> None:
         PacketArrays.from_records(records)
 
 
+def test_flow_steps_refuses_a_negative_payload() -> None:
+    # a trace built straight from columns is unchecked; flow_steps, which the
+    # oracle and every batch path read, refuses it as from_records does
+    arrays = dataclasses.replace(
+        one_flow([0.0, 0.1]), payload_len=np.array([-200, 100], dtype=np.int64)
+    )
+    array = FlowSamplingArray(SamplerParams(n_buckets=4))
+    for run in (flow_steps, compute_stats, array.process_trace):
+        with pytest.raises(ValueError, match=re.escape("packet 0 has negative payload_len -200")):
+            run(arrays)
+
+
 def reference_steps(arrays: PacketArrays) -> list[int]:
     """Per packet in trace order, from a walk with ``is_out_of_order``: -1
     for a flow's first packet, else the value of the definition the packet
@@ -395,7 +409,8 @@ def any_traces(draw) -> PacketArrays:
 def format_holds(arrays: PacketArrays) -> bool:
     """The trace format's rule, one value at a time: ts in [0, 1e16) without
     a sign and nondecreasing, seq, payload_len and addresses in [0, 2^32),
-    ports in [0, 2^16)."""
+    payload_len at least 1 (the reader drops a zero-payload row), ports in
+    [0, 2^16)."""
     ts = arrays.ts.tolist()
     u32 = [arrays.seq, arrays.payload_len, arrays.flow_src_ip, arrays.flow_dst_ip]
     u16 = [arrays.flow_src_port, arrays.flow_dst_port]
@@ -403,8 +418,73 @@ def format_holds(arrays: PacketArrays) -> bool:
         all(0.0 <= t < traceio.MAX_TS and math.copysign(1.0, t) > 0 for t in ts)
         and all(a <= b for a, b in zip(ts, ts[1:]))
         and all(0 <= v < 2**32 for column in u32 for v in column.tolist())
+        and all(v >= 1 for v in arrays.payload_len.tolist())
         and all(0 <= v < 2**16 for column in u16 for v in column.tolist())
     )
+
+
+def held_traces():
+    """``any_traces()`` brought inside the trace format: ts made finite,
+    non-negative and sorted, payload_len at least 1."""
+
+    def fit(arrays: PacketArrays) -> PacketArrays:
+        ts = np.abs(arrays.ts)
+        ts[~(ts < traceio.MAX_TS)] = 0.0  # NaN too
+        return dataclasses.replace(
+            arrays, ts=np.sort(ts), payload_len=np.maximum(arrays.payload_len, 1)
+        )
+
+    return any_traces().map(fit)
+
+
+def first_row_numbering(arrays: PacketArrays) -> PacketArrays:
+    """The reference numbering: ``arrays`` with its flows renumbered in the
+    order of their first packet, flows with equal fields merged and flows
+    without packets gone, walked one packet at a time."""
+    index: dict[FlowId, int] = {}
+    flow_id = [index.setdefault(arrays.flow(fid), len(index)) for fid in arrays.flow_id.tolist()]
+    tables = {
+        f"flow_{name}": np.array([getattr(flow, name) for flow in index], dtype=np.int64)
+        for name in ("src_ip", "dst_ip", "src_port", "dst_port")
+    }
+    return dataclasses.replace(arrays, flow_id=np.array(flow_id, dtype=np.int64), **tables)
+
+
+def test_from_records_keeps_every_flow_apart() -> None:
+    """Flows at the corners of each field's range, and flows outside the
+    trace format (only an in-memory trace holds them), each its own flow."""
+    ips, ports = [0, 2**32 - 1], [0, 65535]
+    corners = [FlowId(s, d, sp, dp) for s in ips for d in ips for sp in ports for dp in ports]
+    outside = [
+        FlowId(-(2**63), 2**63 - 1, -1, 2**40),
+        FlowId(2**63 - 1, -(2**63), 2**40, -1),
+        FlowId(-1, 0, 0, 0),
+        FlowId(2**32, 0, 0, 0),
+        FlowId(0, 0, 0, 2**16),
+    ]
+    for flows in (corners, outside):
+        records = [PacketRecord(flow, 0, 1, 0.0) for flow in flows + flows[::-1]]
+        arrays = PacketArrays.from_records(records)
+        assert [arrays.flow(fid) for fid in range(arrays.flow_count)] == flows
+        assert arrays.flow_id.tolist() == [*range(len(flows)), *reversed(range(len(flows)))]
+
+
+@settings(max_examples=200, deadline=None)
+@given(arrays=held_traces())
+def test_from_records_numbers_flows_by_first_row(arrays: PacketArrays) -> None:
+    assert format_holds(arrays)
+    numbered = PacketArrays.from_records(arrays.iter_records())
+    assert _columns(numbered) == _columns(first_row_numbering(arrays))
+
+
+@settings(max_examples=150, deadline=None)
+@given(arrays=held_traces())
+def test_parse_numbers_flows_as_from_records(arrays: PacketArrays, tmp_path_factory) -> None:
+    path = tmp_path_factory.getbasetemp() / "numbered.csv"
+    with open(path, "w", encoding="ascii", newline="\n") as out:
+        write_trace_csv(arrays, out)
+    parsed, _ = parse_trace(path)
+    assert _columns(parsed) == _columns(PacketArrays.from_records(arrays.iter_records()))
 
 
 @pytest.mark.parametrize("block_rows", [csvtext._WRITE_ROWS, 1, 3])
@@ -479,6 +559,9 @@ def test_write_trace_csv_refuses_ts_from_1e16(tmp_path) -> None:
         # the first bad packet is named, and a bad packet before a bad flow
         ({"ts": [1.0, 0.5], "seq": [-1, 1100], "flow_src_port": [-1]}, "packet 0 has negative"),
         ({"seq": [1000, 2**32], "flow_dst_port": [2**16]}, "packet 1 has seq"),
+        # the reader would drop a zero-payload row, named after the ts faults
+        ({"payload_len": [100, 0]}, "packet 1 has payload_len 0;"),
+        ({"ts": [1.0, 0.5], "payload_len": [0, 100]}, "packet 0 has payload_len 0;"),
     ],
 )
 def test_write_trace_csv_refuses_what_the_format_cannot_hold(
@@ -799,9 +882,9 @@ def test_fast_path_is_taken_on_generated_traces(tmp_path, monkeypatch, block_byt
     monkeypatch.setattr(traceio, "_BLOCK_BYTES", block_bytes)
     arrays, _ = generate_synthetic_arrays(SynthConfig(n_prefixes=64, seed=5, duration_seconds=1.0))
     arrays.payload_len[::7] = 0  # zero-payload rows are read, then dropped
-    buf = io.StringIO()
-    write_trace_csv(arrays, buf)
-    parsed = _expect_fast(buf.getvalue().encode("ascii"), tmp_path)
+    # the writer refuses a zero payload, so the rows are written without it
+    text = TRACE_HEADER + "\n" + "".join(csvtext.trace_rows(arrays))
+    parsed = _expect_fast(text.encode("ascii"), tmp_path)
     assert len(parsed) == int(np.count_nonzero(arrays.payload_len)) > 1000
 
 
@@ -844,3 +927,73 @@ def test_blank_line_is_skipped(tmp_path) -> None:
     text = f"{TRACE_HEADER}\n{rows[0]}\n\n{rows[1]}\n"
     _check_against_reference(text, tmp_path / "blank.csv")
     assert _columns(parse_text(text)[0]) == _columns(parse_text(text.replace("\n\n", "\n"))[0])
+
+
+# --- the address decoder against ip_to_int ------------------------------------
+
+@st.composite
+def address_fields(draw) -> str:
+    """Fields of the fast path's address bytes, 1 to 16 of them: quads,
+    half of them damaged once (a leading zero, 256, an empty or a long
+    octet, 3 or 5 octets, a trailing dot), or any digits and dots."""
+    if draw(st.integers(0, 3)) == 0:
+        return draw(st.text("0123456789.", min_size=1, max_size=16))
+    octets = [str(draw(st.integers(0, 255))) for _ in range(4)]
+    i = draw(st.integers(0, 3))
+    damage = draw(st.sampled_from(["none", "none", "none", "octet", "drop", "extra", "tail"]))
+    if damage == "octet":
+        bad = st.sampled_from(["256", "999", "1000", "00", "01", "010", "0255", ""])
+        octets[i] = draw(bad | st.text("0123456789", max_size=4))
+    elif damage == "drop":
+        del octets[i]
+    elif damage == "extra":
+        octets.insert(i, str(draw(st.integers(0, 255))))
+    field = ".".join(octets) + ("." if damage == "tail" else "")
+    assume(len(field) <= 16)
+    return field
+
+
+def decode_addresses(fields: list[str]):
+    """``traceio._addresses`` of ``fields``, laid out as in a block: each
+    field followed by a comma, the whole padded."""
+    text = np.frombuffer(("".join(f + "," for f in fields)).encode("ascii"), dtype=np.uint8)
+    buf = np.zeros(len(text) + 2 * traceio._PAD, dtype=np.uint8)
+    buf[traceio._PAD : traceio._PAD + len(text)] = text
+    stop = traceio._PAD + np.flatnonzero(text == ord(","))
+    first = np.r_[traceio._PAD, stop[:-1] + 1]
+    values = traceio._addresses(buf, first, stop)
+    return None if values is None else values.tolist()
+
+
+def reference_address(field: str):
+    try:
+        return ip_to_int(field)
+    except ValueError:
+        return None
+
+
+@settings(max_examples=600, deadline=None)
+@given(fields=st.lists(address_fields(), min_size=1, max_size=4))
+@example(fields=["0.0.0.0", "255.255.255.255", "172.16.0.1", "1.22.133.4"])
+@example(fields=["10.0.0.010", "01.2.3.4", "1.2.3.256", "1..2.3", "1.2.3", "1.2.3.4.5"])
+@example(fields=["1.2.3.4.", ".1.2.3", "1000.1.1.1", "100.100.100.1001", "0255.1.1.1"])
+def test_address_decoder_reads_what_ip_to_int_reads(fields: list[str]) -> None:
+    expected = [reference_address(field) for field in fields]
+    for field, value in zip(fields, expected):
+        assert decode_addresses([field]) == (None if value is None else [value])
+    # a block decodes or not as a whole, each row to its own value
+    assert decode_addresses(fields) == (None if None in expected else expected)
+
+
+def test_canonical_parse_calls_no_ip_to_int(tmp_path, monkeypatch) -> None:
+    arrays, _ = generate_synthetic_arrays(SynthConfig(n_prefixes=64, seed=5, duration_seconds=1.0))
+    path = tmp_path / "trace.csv"
+    with open(path, "w", encoding="ascii", newline="\n") as out:
+        write_trace_csv(arrays, out)
+
+    def refuse(dotted: str) -> int:
+        raise AssertionError(f"ip_to_int({dotted!r}) was called")
+
+    monkeypatch.setattr(traceio, "ip_to_int", refuse)
+    parsed, _ = parse_trace(path)
+    assert len(parsed) == len(arrays) > 1000
