@@ -11,17 +11,19 @@ Each option sets one field of the parameter object its command builds
 left out keeps that field's default, so every default is stated once, in
 the library.  Options may come from a flat ``key = value`` config file
 (``--config``); explicit flags always override the file.  Exit codes: 0
-success, 1 usage error, 2 data error.
+success, 1 usage error, 2 data error (also an input that cannot be read
+or an output that cannot be created).
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import importlib
 import json
 import sys
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, NamedTuple, Optional, Sequence
+from typing import IO, TYPE_CHECKING, Callable, NamedTuple, Optional, Sequence
 
 if TYPE_CHECKING:
     from .controlplane import AggregatorMode
@@ -251,6 +253,11 @@ def _spec_from(values: dict[str, object]) -> ExperimentSpec:
 # --- subcommand handlers --------------------------------------------------------
 
 
+def _open_output(files: contextlib.ExitStack, path: Path) -> IO[str]:
+    path.parent.mkdir(parents=True, exist_ok=True)
+    return files.enter_context(open(path, "w", encoding="ascii", newline="\n"))
+
+
 def _cmd_generate(args: argparse.Namespace) -> int:
     values = _resolve(args, GENERATE_OPTS)
     _bind(
@@ -260,19 +267,18 @@ def _cmd_generate(args: argparse.Namespace) -> int:
         "write_sidecar",
         "flow_table_meta",
     )
-    cfg = SynthConfig(**values)
     try:
-        cfg.validate()
+        cfg = SynthConfig(**values)
     except ValueError as exc:  # bad option values, found before any file is opened
         raise UsageError(str(exc)) from exc
     arrays, injected = generate_synthetic_arrays(cfg)
     out_path = Path(args.out)
-    out_path.parent.mkdir(parents=True, exist_ok=True)
-    with open(out_path, "w", encoding="ascii", newline="\n") as out:
-        write_trace_csv(arrays, out)
-    if args.sidecar:
-        with open(args.sidecar, "w", encoding="ascii", newline="\n") as out:
-            write_sidecar(arrays, injected, out)
+    with contextlib.ExitStack() as files:
+        # the sidecar opens first, so that a bad sidecar path writes nothing
+        sidecar = _open_output(files, Path(args.sidecar)) if args.sidecar else None
+        write_trace_csv(arrays, _open_output(files, out_path))
+        if sidecar is not None:
+            write_sidecar(arrays, injected, sidecar)
     meta = flow_table_meta(arrays)  # every generated flow has packets
     print(
         f"wrote {meta.packet_count} packets, {meta.flow_count} flows, "
@@ -433,8 +439,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    # a malformed trace (TraceFormatError) or model file is a ValueError
-    except (FileNotFoundError, IsADirectoryError, ValueError) as exc:
+    # a malformed trace (TraceFormatError) or model file is a ValueError; an
+    # OSError is a file that cannot be read or an output that cannot be made
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -50,7 +50,6 @@ class ReportAggregator:
         import numpy as np
 
         self.prefix_bits = self.sum_n = self.sum_o = np.empty(0, dtype=np.int64)
-        self.report_count = 0
 
     def ingest_all(self, reports: ReportColumns) -> None:
         """Add a report stream to the tallies; repeated calls accumulate."""
@@ -61,7 +60,6 @@ class ReportAggregator:
         # float64 sums of int64 counts are exact below 2^53 packets
         self.sum_n = np.bincount(row, np.concatenate((self.sum_n, reports.n))).astype(np.int64)
         self.sum_o = np.bincount(row, np.concatenate((self.sum_o, reports.o))).astype(np.int64)
-        self.report_count += len(reports)
 
     def finalize(self, params: AggregatorParams) -> set[Prefix]:
         """The output set; a pure function of the tallies."""

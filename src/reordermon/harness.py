@@ -155,10 +155,7 @@ def hh_params(spec: ExperimentSpec, buckets_per_stage: int, seed: int) -> HHPara
     from .heavyhitter import HHParams
 
     return HHParams(
-        buckets_per_stage=buckets_per_stage,
-        hash_seed=seed,
-        rng_seed=seed,
-        **_from_spec(spec, HH_FIELDS),
+        buckets_per_stage=buckets_per_stage, hash_seed=seed, **_from_spec(spec, HH_FIELDS)
     )
 
 

@@ -56,8 +56,7 @@ class HHParams:
     report_fraction: float = 0.01
     min_report_packets: int = 16
     reorder_def: ReorderDef = ReorderDef.DEF1_DECREASE
-    hash_seed: int = 0
-    rng_seed: int = 0
+    hash_seed: int = 0  # also seeds the admission draws
 
     def __post_init__(self) -> None:
         if self.n_stages < 1:
@@ -70,8 +69,8 @@ class HHParams:
             raise ValueError("min_report_packets must be >= 1")
         if self.reorder_def not in DETECTOR_DEFS:
             raise ValueError("online detectors support DEF1 and DEF2 only")
-        if self.rng_seed < 0:  # random.Random(-s) draws as random.Random(s)
-            raise ValueError("rng_seed must be >= 0")
+        if self.hash_seed < 0:  # random.Random(-s) draws as random.Random(s)
+            raise ValueError("hash_seed must be >= 0")
 
 
 @dataclass(slots=True)
@@ -92,7 +91,7 @@ class ReorderHeavyHitter:
             [None] * params.buckets_per_stage for _ in range(params.n_stages)
         ]
         self._seeds = [stage_seed(params.hash_seed, i) for i in range(params.n_stages)]
-        self._rng = random.Random(params.rng_seed)
+        self._rng = random.Random(params.hash_seed)
         self.meter = AccessMeter()
         self.packets_processed = 0
 

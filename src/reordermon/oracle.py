@@ -40,7 +40,6 @@ class TraceStats:
     prefix_n: np.ndarray
     prefix_ooo: np.ndarray  # prefixes x 3
     prefix_flows: np.ndarray
-    packet_count: int
 
 
 def compute_stats(arrays: PacketArrays) -> TraceStats:
@@ -52,7 +51,7 @@ def compute_stats(arrays: PacketArrays) -> TraceStats:
     if len(arrays) == 0:
         none = np.zeros(0, dtype=np.int64)
         table = np.zeros((0, 3), dtype=np.int64)
-        return TraceStats(none, none, table, none, none, none, table, none, 0)
+        return TraceStats(none, none, table, none, none, none, table, none)
     order, step = flow_steps(arrays)
     fid = arrays.flow_id[order]
     seq = arrays.seq[order]
@@ -97,7 +96,6 @@ def compute_stats(arrays: PacketArrays) -> TraceStats:
         prefix_n=prefix_n,
         prefix_ooo=prefix_ooo,
         prefix_flows=np.bincount(flow_prefix, minlength=len(prefix_bits)),
-        packet_count=len(arrays),
     )
 
 

@@ -4,9 +4,7 @@ trace generator.
 The canonical on-disk format is a text CSV (header
 ``ts,src_ip,dst_ip,src_port,dst_port,seq,payload_len``) so fixtures stay
 reviewable; raw capture formats are out of scope.  Ingestion drops
-zero-payload rows (sequence numbers cannot advance without payload);
-``filter_server_to_client`` is a separate step that keeps the
-server-to-client direction using a port heuristic.
+zero-payload rows (sequence numbers cannot advance without payload).
 
 ``PacketArrays`` is the one trace representation: ingestion, the generator,
 the oracle and the batch detector path all work on its columns, so
@@ -43,7 +41,6 @@ class TraceMeta:
     packet_count: int
     flow_count: int
     prefix_count: int
-    duration_seconds: float
 
 
 @dataclass
@@ -202,12 +199,23 @@ def flow_steps(arrays: PacketArrays) -> tuple[np.ndarray, np.ndarray]:
     ``ReorderDef`` value of the definition it breaks against the packet
     before it in its flow (1: seq below the previous seq; 2: seq beyond
     the previous seq + payload_len), else 0.  The two exclude each other
-    because payload_len is never negative: a ``ValueError`` names the first
-    packet with a negative one."""
-    negative = np.flatnonzero(arrays.payload_len < 0)
-    if len(negative):
-        i = int(negative[0])
-        raise ValueError(f"packet {i} has negative payload_len {int(arrays.payload_len[i])}")
+    because payload_len is never negative.  A ``ValueError`` names the first
+    packet with a negative payload_len, or with a ts that is not finite or
+    is below the ts before it: such a ts gives a gap no inter-arrival bin
+    holds, and the batch paths, which read staleness per flow, would then
+    leave other records than the per-packet paths."""
+    ts = arrays.ts
+    bad = arrays.payload_len < 0
+    bad |= ~np.isfinite(ts)
+    bad[1:] |= ts[1:] < ts[:-1]
+    if bad.any():
+        i = int(np.argmax(bad))
+        t = float(ts[i])
+        if arrays.payload_len[i] < 0:
+            raise ValueError(f"packet {i} has negative payload_len {int(arrays.payload_len[i])}")
+        if not math.isfinite(t):
+            raise ValueError(f"packet {i} has non-finite ts {t!r}")
+        raise ValueError(f"packet {i} has ts {t!r}, below the ts {float(ts[i - 1])!r} before it")
     order = group_order(arrays.flow_id, arrays.flow_count)
     fid = arrays.flow_id[order]
     seq = arrays.seq[order]
@@ -261,16 +269,15 @@ def parse_trace(path: str | Path) -> tuple[PacketArrays, TraceMeta]:
 
 
 def flow_table_meta(arrays: PacketArrays) -> TraceMeta:
-    """The trace's packet, flow and prefix counts and its duration, from the
-    flow tables, without a pass over the packets.  The counts are those of
-    the flows with packets when every flow has one, as in a parsed or a
-    generated trace."""
+    """The trace's packet, flow and prefix counts, from the flow tables,
+    without a pass over the packets.  The counts are those of the flows
+    with packets when every flow has one, as in a parsed or a generated
+    trace."""
     return TraceMeta(
         packet_count=len(arrays),
         flow_count=arrays.flow_count,
         # a bare np.unique imports numpy.ma (12-21 ms on a cold start)
         prefix_count=np.unique(arrays.flow_prefix_bits, return_inverse=True)[0].size,
-        duration_seconds=arrays.duration_seconds,
     )
 
 
@@ -500,16 +507,6 @@ def _addresses(buf: np.ndarray, first: np.ndarray, stop: np.ndarray) -> Optional
     return None if bad.any() else value
 
 
-def filter_server_to_client(arrays: PacketArrays) -> PacketArrays:
-    """Keep the server-to-client direction.
-
-    Heuristic: service ports are numerically low, so a packet is kept iff
-    its flow has ``src_port < dst_port``.  Ties are dropped (direction
-    undecidable).  The flow tables are kept as they are.
-    """
-    return arrays.subset((arrays.flow_src_port < arrays.flow_dst_port)[arrays.flow_id])
-
-
 # repr writes a float at or above 1e16 with a signed exponent ("1e+16"),
 # which the reader refuses as non-canonical
 MAX_TS = 1e16
@@ -637,7 +634,7 @@ class SynthConfig:
     noisy_flow_fraction: float = 0.0
     max_flows_per_prefix: int = 48
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if not 1 <= self.n_prefixes <= 1 << 16:
             raise ValueError("n_prefixes must lie in [1, 2^16]")
         if not 0.0 <= self.bad_prefix_fraction <= 1.0:
@@ -674,7 +671,7 @@ class SynthConfig:
 
 def _zipf_weights(exponent: float, kmax: int) -> tuple[np.ndarray, np.ndarray]:
     """k = 1..kmax and the unnormalized power-law weights k^-exponent (inf
-    where they overflow, which ``SynthConfig.validate`` refuses)."""
+    where they overflow, which ``SynthConfig`` refuses)."""
     ks = np.arange(1, kmax + 1, dtype=np.float64)
     with np.errstate(over="ignore"):
         return ks, ks ** (-exponent)
@@ -696,7 +693,6 @@ def _bounded_zipf_mean(exponent: float, kmax: int) -> float:
 def generate_synthetic_arrays(cfg: SynthConfig) -> tuple[PacketArrays, np.ndarray]:
     """Deterministically generate a trace; also returns the per-flow count
     of injected displacements (indexed by flow id)."""
-    cfg.validate()
     rng = np.random.default_rng(cfg.seed)
 
     base_prefix = ip_to_int("10.0.0.0")

@@ -201,7 +201,7 @@ def test_c04_per_packet_access_budget() -> None:
 
         d = 3
         hh = ReorderHeavyHitter(
-            HHParams(n_stages=d, buckets_per_stage=4, hash_seed=i, rng_seed=i)
+            HHParams(n_stages=d, buckets_per_stage=4, hash_seed=i)
         )
         for rec in records:
             hh.process_packet(rec)

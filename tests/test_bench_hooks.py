@@ -118,3 +118,42 @@ def test_generate_runs_the_traced_writers(
          "--duration", "0.2", "--seed", "1"]
     ) == 0
     assert calls == [("write_trace_csv", trace.stat().st_size), ("write_sidecar", None)]
+
+
+def test_traced_round_counts_what_it_runs(tmp_path: Path) -> None:
+    """The traced run's counters read the arguments and results of the
+    names it wraps (``len(result[0])`` of ``parse_trace``, the ``tell()``
+    of the trace writer's file, the report columns, the simulated check
+    matrix); a changed return shape must fail here, not only in the slow
+    benchmark self-test."""
+    from reordermon import cli
+
+    trace = tmp_path / "trace.csv"
+    common = ("--trace", str(trace), "--buckets", "16", "--seeds", "0")
+    commands = [
+        ["generate", "--out", str(trace), "--sidecar", str(tmp_path / "truth.csv"),
+         "--prefixes", "16", "--duration", "0.5", "--bad-fraction", "0.5", "--seed", "3"],
+        ["analyze", "--trace", str(trace), "--out", str(tmp_path / "analysis"),
+         "--pcc-reps", "3"],
+        ["sweep", *common, "--out", str(tmp_path / "array"), "--algo", "array"],
+        ["sweep", *common, "--out", str(tmp_path / "hh"), "--algo", "hh"],
+        ["grid-hybrid", *common, "--out", str(tmp_path / "grid"), "--hh-fraction", "0.5"],
+        ["validate-lemma", "--preset", "two-equal-flows", "--trials", "3"],
+    ]
+    recorder = tracer.Tracer("hooks", "hooks:0")
+    saved = tracer.install(recorder)
+    try:
+        main = recorder.wrap("cli.main", cli.main, per_packet=False)
+        codes = [main(argv) for argv in commands]
+    finally:
+        tracer.uninstall(saved)
+    assert codes == [0] * len(commands)
+    rows = len(trace.read_text().splitlines()) - 1
+    metrics = recorder.layer_metrics(1.0, rows)
+    assert metrics["traceio.rows_read"] == 4 * rows  # analyze, two sweeps, grid-hybrid
+    assert metrics["traceio.rows_dropped"] == 0  # a generated trace has no zero payload
+    assert metrics["traceio.csv_mb"] * 2**20 == trace.stat().st_size
+    assert metrics["sampling.reports"] > 0
+    assert metrics["controlplane.reports_ingested"] > 0
+    assert metrics["checkmodel.trials"] == 3
+    assert metrics["checkmodel.checks"] > 0

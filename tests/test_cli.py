@@ -451,6 +451,55 @@ def test_data_error_exit_code(tmp_path: Path) -> None:
     assert run_cli("run", "--trace", str(tmp_path / "missing.csv"), "--out", str(tmp_path / "o")) == 2
 
 
+def test_generate_creates_the_sidecar_directory(tmp_path: Path) -> None:
+    trace, sidecar = tmp_path / "t.csv", tmp_path / "truth" / "s.csv"
+    assert run_cli(
+        "generate", "--out", str(trace), "--sidecar", str(sidecar),
+        "--prefixes", "4", "--duration", "0.1",
+    ) == 0
+    assert trace.read_text().startswith(TRACE_HEADER + "\n")
+    assert sidecar.read_text().startswith("flow_key,injected_displacements\n")
+
+
+def test_generate_sidecar_that_cannot_be_opened_writes_no_trace(
+    tmp_path: Path, capsys: pytest.CaptureFixture
+) -> None:
+    (tmp_path / "s.csv").mkdir()
+    code = run_cli(
+        "generate", "--out", str(tmp_path / "t.csv"), "--sidecar", str(tmp_path / "s.csv"),
+        "--prefixes", "4", "--duration", "0.1",
+    )
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not (tmp_path / "t.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("run", "--trace", "{trace}", "--out", "{file}", "--buckets", "16", "--seeds", "0"),
+        ("grid-hybrid", "--trace", "{trace}", "--out", "{file}", "--buckets", "16",
+         "--hh-fraction", "0.5", "--seeds", "0"),
+        ("analyze", "--trace", "{trace}", "--out", "{file}/sub", "--pcc-reps", "2"),
+        ("generate", "--out", "{file}/t.csv", "--prefixes", "4", "--duration", "0.1"),
+        ("validate-lemma", "--preset", "two-equal-flows", "--trials", "3", "--out", "{file}"),
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_output_that_cannot_be_created_is_data_error(
+    argv: tuple[str, ...], trace_path: Path, tmp_path: Path, capsys: pytest.CaptureFixture
+) -> None:
+    # an existing file where the output directory should go
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    code = run_cli(*(arg.format(trace=trace_path, file=blocker) for arg in argv))
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert blocker.read_text() == ""
+
+
 @pytest.mark.parametrize(
     "src,dst,message",
     [

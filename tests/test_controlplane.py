@@ -67,7 +67,6 @@ def test_tally_accumulates() -> None:
     assert tallies(agg) == {GA: (10, 2)}
     agg.ingest_all(columns((GA, 8, 1)))
     assert tallies(agg) == {GA: (18, 3)}
-    assert agg.report_count == 2
 
 
 def test_distinct_prefixes_get_independent_tallies() -> None:
@@ -76,7 +75,6 @@ def test_distinct_prefixes_get_independent_tallies() -> None:
     assert tallies(agg) == {GA: (10, 2), GB: (5, 1)}
     # one row per prefix, in ascending prefix order
     assert agg.prefix_bits.tolist() == [GA.bits, GB.bits]
-    assert agg.report_count == 2
 
 
 def test_count_only_threshold() -> None:
@@ -133,15 +131,6 @@ def test_ingest_order_does_not_matter() -> None:
     assert tallies(forward) == tallies(backward)
 
 
-def test_report_count_accounting() -> None:
-    agg = ReportAggregator()
-    agg.ingest_all(columns((GA, 10, 2), (GB, 30, 1), (GA, 8, 1)))
-    agg.ingest_all(columns())
-    assert agg.report_count == 3
-    agg.ingest_all(columns((GC, 4, 0)))
-    assert agg.report_count == 4
-
-
 def test_param_validation() -> None:
     with pytest.raises(ValueError):
         AggregatorParams(min_packets=0)
@@ -175,7 +164,6 @@ def test_columnar_aggregator_matches_dict_reference(
         agg.ingest_all(part)
     expected = reference_tallies(parts)
     assert tallies(agg) == expected
-    assert agg.report_count == sum(len(rows) for rows in streams)
     for mode in AggregatorMode:
         params = AggregatorParams(min_packets=min_packets, eps=eps, scale=scale, mode=mode)
         assert agg.finalize(params) == reference_finalize(expected, params)

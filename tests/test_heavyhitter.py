@@ -34,7 +34,7 @@ def pkt(flow: FlowId, seq: int, ts: float, payload: int = 100) -> PacketRecord:
 
 def params(**kwargs) -> HHParams:
     defaults = dict(n_stages=2, buckets_per_stage=4, report_fraction=0.01,
-                    min_report_packets=16, hash_seed=0, rng_seed=0)
+                    min_report_packets=16, hash_seed=0)
     defaults.update(kwargs)
     return HHParams(**defaults)
 
@@ -47,7 +47,7 @@ class StepThrough:
         self.p = p
         self.slots: list[dict[int, list]] = [dict() for _ in range(p.n_stages)]
         self.seeds = [stage_seed(p.hash_seed, i) for i in range(p.n_stages)]
-        self.rng = random.Random(p.rng_seed)
+        self.rng = random.Random(p.hash_seed)
 
     def step(self, pkt: PacketRecord) -> tuple[bool, tuple | None]:
         bits = prefix_of(pkt.flow).bits
@@ -144,7 +144,7 @@ def seed_admitting_against(count: int) -> int:
 
 
 def test_replacement_of_reordered_victim_reports() -> None:
-    p = params(n_stages=1, buckets_per_stage=1, rng_seed=seed_admitting_against(101))
+    p = params(n_stages=1, buckets_per_stage=1, hash_seed=seed_admitting_against(101))
     hh = ReorderHeavyHitter(p)
     # plant a victim: n=100, o=5 (five sequence decreases), count_est=101
     hh._stages[0][0] = HHEntry(FA1, 101, SeqState(10_000, 10_100), 100, 5)
@@ -158,7 +158,7 @@ def test_rejected_admission_leaves_table_unchanged() -> None:
     for seed in range(100_000):
         if random.Random(seed).random() >= 1.0 / 102:
             break
-    p = params(n_stages=1, buckets_per_stage=1, rng_seed=seed)
+    p = params(n_stages=1, buckets_per_stage=1, hash_seed=seed)
     hh = ReorderHeavyHitter(p)
     hh._stages[0][0] = HHEntry(FA1, 101, SeqState(10_000, 10_100), 100, 5)
     resident, report = hh.process_packet(pkt(FA2, 5000, 1.0))
@@ -188,7 +188,7 @@ def test_contains_lifecycle() -> None:
         rng.random()
         if rng.random() < 0.5:
             break
-    p = params(n_stages=1, buckets_per_stage=1, rng_seed=seed)
+    p = params(n_stages=1, buckets_per_stage=1, hash_seed=seed)
     hh = ReorderHeavyHitter(p)
     assert FA1 not in resident_flows(hh)
     hh.process_packet(pkt(FA1, 1000, 0.0))
@@ -236,7 +236,7 @@ def test_single_flow_matches_oracle_minus_first_packet() -> None:
 def test_matches_independent_step_through() -> None:
     for seed in range(5):
         records = random_trace(seed, n_packets=800, n_flows=20, n_prefixes=4)
-        p = params(n_stages=2, buckets_per_stage=2, hash_seed=seed, rng_seed=seed * 7)
+        p = params(n_stages=2, buckets_per_stage=2, hash_seed=seed)
         hh = ReorderHeavyHitter(p)
         ref = StepThrough(p)
         for i, rec in enumerate(records):
@@ -249,7 +249,7 @@ def test_matches_independent_step_through() -> None:
 
 
 def test_twenty_packet_hand_trace_entry_evolution() -> None:
-    p = params(n_stages=2, buckets_per_stage=2, hash_seed=3, rng_seed=11)
+    p = params(n_stages=2, buckets_per_stage=2, hash_seed=3)
     records = random_trace(99, n_packets=20, n_flows=5, n_prefixes=2)
     hh = ReorderHeavyHitter(p)
     ref = StepThrough(p)
@@ -263,7 +263,7 @@ def test_determinism() -> None:
     records = random_trace(13, n_packets=1000, n_flows=16, n_prefixes=3)
 
     def run() -> tuple[list, list]:
-        hh = ReorderHeavyHitter(params(n_stages=2, buckets_per_stage=4, rng_seed=5))
+        hh = ReorderHeavyHitter(params(n_stages=2, buckets_per_stage=4, hash_seed=5))
         out = [hh.process_packet(rec) for rec in records]
         return out, report_rows(hh.flush())
 
@@ -280,8 +280,8 @@ def test_param_validation() -> None:
     with pytest.raises(ValueError):
         HHParams(n_stages=2, buckets_per_stage=2, reorder_def=ReorderDef.DEF3_BELOW_MAX)
     # random.Random(-1) draws the same admission stream as random.Random(1)
-    with pytest.raises(ValueError, match="rng_seed must be >= 0"):
-        params(rng_seed=-1)
+    with pytest.raises(ValueError, match="hash_seed must be >= 0"):
+        params(hash_seed=-1)
 
 
 # --- batch path ---------------------------------------------------------------
@@ -319,7 +319,6 @@ def test_fast_path_matches_reference_on_random_traces(def_: ReorderDef) -> None:
                 min_report_packets=min_packets,
                 reorder_def=def_,
                 hash_seed=seed + 11,
-                rng_seed=seed,
             )
             n_evictions += len(assert_batch_matches_reference(records, p))
     assert n_evictions > 0
@@ -374,6 +373,5 @@ def test_fast_path_equivalence_property(
         min_report_packets=min_packets,
         reorder_def=def_,
         hash_seed=trace_seed ^ 0x5A5A,
-        rng_seed=trace_seed,
     )
     assert_batch_matches_reference(records, p)

@@ -39,7 +39,7 @@ def run_hybrid(records, params: HybridParams):
 
 def test_params_need_a_structure_and_one_definition() -> None:
     array = SamplerParams(n_buckets=4, reorder_def=ReorderDef.DEF2_GAP, hash_seed=3)
-    hh = HHParams(n_stages=2, buckets_per_stage=2, hash_seed=5, rng_seed=9)
+    hh = HHParams(n_stages=2, buckets_per_stage=2, hash_seed=5)
     with pytest.raises(ValueError, match="same reorder_def"):
         HybridParams(array=array, hh=hh)
     with pytest.raises(ValueError, match="needs an array, an HH table or both"):
@@ -97,7 +97,7 @@ def test_x_zero_is_bitwise_the_standalone_array(reorder_def: ReorderDef) -> None
 
 def test_x_one_is_bitwise_the_standalone_hh() -> None:
     records = random_trace(6, n_packets=3000, n_flows=18, n_prefixes=4)
-    hh = HHParams(n_stages=2, buckets_per_stage=8 // 2, hash_seed=5, rng_seed=5)
+    hh = HHParams(n_stages=2, buckets_per_stage=8 // 2, hash_seed=5)
     hybrid_reports, hybrid_flush = run_hybrid(records, hybrid_params(8, 1.0, 5))
 
     standalone = ReorderHeavyHitter(hh)

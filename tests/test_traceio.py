@@ -25,7 +25,9 @@ from reordermon.model import (
     ip_to_int,
     is_out_of_order,
 )
-from reordermon.oracle import compute_stats
+from reordermon.heavyhitter import HHParams, ReorderHeavyHitter
+from reordermon.hybrid import HybridDetector, HybridParams
+from reordermon.oracle import compute_stats, interarrival_histogram
 from reordermon.sampling import FlowSamplingArray, SamplerParams
 from reordermon.traceio import (
     MAX_FLOW_SIZE,
@@ -35,7 +37,6 @@ from reordermon.traceio import (
     TRACE_HEADER,
     TraceFormatError,
     TraceMeta,
-    filter_server_to_client,
     flow_steps,
     flow_table_meta,
     generate_synthetic_arrays,
@@ -77,7 +78,6 @@ def packet_meta(arrays: PacketArrays) -> TraceMeta:
         packet_count=len(arrays),
         flow_count=int(flows.size),
         prefix_count=int(np.unique(arrays.flow_prefix_bits[flows]).size),
-        duration_seconds=arrays.duration_seconds,
     )
 
 
@@ -85,7 +85,7 @@ def test_empty_trace_parses_to_zero_meta() -> None:
     arrays, meta = parse_text(TRACE_HEADER + "\n")
     assert len(arrays) == 0 and arrays.flow_count == 0
     assert (meta.packet_count, meta.flow_count, meta.prefix_count) == (0, 0, 0)
-    assert meta.duration_seconds == 0.0
+    assert arrays.duration_seconds == 0.0
 
 
 def test_single_row_maps_fields_directly() -> None:
@@ -173,19 +173,6 @@ def test_decreasing_timestamps_rejected() -> None:
         )
 
 
-@pytest.mark.parametrize(
-    "src_port,dst_port,kept",
-    [(443, 51234, True), (51234, 443, False), (80, 80, False)],
-)
-def test_server_to_client_port_heuristic(src_port: int, dst_port: int, kept: bool) -> None:
-    other = PacketRecord(FlowId(3, 4, 443, 51234), 0, 10, 0.0)
-    rec = PacketRecord(FlowId(1, 2, src_port, dst_port), 0, 10, 0.5)
-    arrays = PacketArrays.from_records([other, rec, other])
-    filtered = filter_server_to_client(arrays)
-    assert list(filtered.iter_records()) == ([other, rec, other] if kept else [other, other])
-    assert filtered.flow_count == arrays.flow_count
-
-
 @settings(max_examples=30, deadline=None)
 @given(seed=st.integers(0, 10_000))
 def test_serialize_parse_round_trip(seed: int) -> None:
@@ -227,6 +214,40 @@ def test_flow_steps_refuses_a_negative_payload() -> None:
     array = FlowSamplingArray(SamplerParams(n_buckets=4))
     for run in (flow_steps, compute_stats, array.process_trace):
         with pytest.raises(ValueError, match=re.escape("packet 0 has negative payload_len -200")):
+            run(arrays)
+
+
+def ts_that_no_pass_can_judge() -> list[tuple[PacketArrays, str]]:
+    """A NaN ts, whose gaps would be binned at -2^63, and a decreasing one,
+    after which the per-packet array leaves B resident with n=1 but the
+    batch array A with n=0; each with the error that names its packet."""
+    a = FlowId(0x0A000001, 0xAC100001, 443, 10000)
+    b = FlowId(0x0A000002, 0xAC100001, 443, 10001)  # in a's /24
+    decreasing = PacketArrays.from_records(
+        [PacketRecord(flow, 1000 + 100 * i, 100, ts)
+         for i, (flow, ts) in enumerate([(a, 0.0), (b, 0.5), (b, 5.0), (b, 0.7)])]
+    )
+    return [
+        (one_flow([0.0, math.nan, 1.0]), "packet 1 has non-finite ts nan"),
+        (decreasing, "packet 3 has ts 0.7, below the ts 5.0 before it"),
+    ]
+
+
+@pytest.mark.parametrize("case", [0, 1], ids=["nan", "decreasing"])
+def test_flow_steps_refuses_a_ts_that_is_not_finite_or_decreases(case: int) -> None:
+    arrays, message = ts_that_no_pass_can_judge()[case]
+    array = SamplerParams(n_buckets=1, stale_after=1.0, report_all=True)
+    hh = HHParams(n_stages=1, buckets_per_stage=1)
+    runs = (
+        flow_steps,
+        compute_stats,
+        interarrival_histogram,
+        lambda t: FlowSamplingArray(array).process_trace(t),
+        lambda t: ReorderHeavyHitter(hh).process_trace(t),
+        lambda t: HybridDetector(HybridParams(array=array, hh=hh)).process_trace(t),
+    )
+    for run in runs:
+        with pytest.raises(ValueError, match=re.escape(message)):
             run(arrays)
 
 
@@ -653,13 +674,13 @@ def test_displacement_rate_drives_def1_rate() -> None:
 
 def test_invalid_configs_rejected() -> None:
     with pytest.raises(ValueError):
-        SynthConfig(n_prefixes=0).validate()
+        SynthConfig(n_prefixes=0)
     with pytest.raises(ValueError):
-        SynthConfig(n_prefixes=4, bad_prefix_fraction=1.5).validate()
+        SynthConfig(n_prefixes=4, bad_prefix_fraction=1.5)
     with pytest.raises(ValueError):
-        SynthConfig(n_prefixes=4, good_reorder_prob=0.5, bad_reorder_prob=0.1).validate()
+        SynthConfig(n_prefixes=4, good_reorder_prob=0.5, bad_reorder_prob=0.1)
     with pytest.raises(ValueError):
-        SynthConfig(n_prefixes=4, displacement_max=0).validate()
+        SynthConfig(n_prefixes=4, displacement_max=0)
     for field, value in (
         ("n_prefixes", 2**16 + 1),
         ("duration_seconds", math.nan),
@@ -678,11 +699,11 @@ def test_invalid_configs_rejected() -> None:
         ("max_flows_per_prefix", 0),
     ):
         with pytest.raises(ValueError):
-            dataclasses.replace(SynthConfig(n_prefixes=4), **{field: value}).validate()
+            dataclasses.replace(SynthConfig(n_prefixes=4), **{field: value})
     SynthConfig(
         n_prefixes=2**16, noisy_flow_fraction=1.0, flow_size_zipf_exponent=-1.0,
         duration_seconds=traceio.MAX_DURATION_SECONDS,
-    ).validate()
+    )
 
 
 @pytest.mark.filterwarnings("error")
@@ -706,7 +727,7 @@ def test_overflowing_zipf_exponents_are_refused() -> None:
         ("flows_per_prefix_zipf_exponent", -400.0),
     ):
         with pytest.raises(ValueError, match=f"{field} overflows"):
-            dataclasses.replace(SynthConfig(n_prefixes=4), **{field: value}).validate()
+            dataclasses.replace(SynthConfig(n_prefixes=4), **{field: value})
     arrays, _ = generate_synthetic_arrays(
         SynthConfig(n_prefixes=4, flow_size_zipf_exponent=fits, max_flows_per_prefix=2,
                     duration_seconds=0.1)
