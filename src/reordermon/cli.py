@@ -141,7 +141,12 @@ def _add_opts(parser: argparse.ArgumentParser, opts: Sequence[Opt]) -> None:
 
 def _load_config(path: str) -> dict[str, str]:
     values: dict[str, str] = {}
-    for lineno, raw in enumerate(Path(path).read_text(encoding="ascii").splitlines(), 1):
+    # a non-ASCII byte becomes a lone surrogate, refused with its line number
+    text = Path(path).read_bytes().decode("ascii", errors="surrogateescape")
+    for lineno, raw in enumerate(text.splitlines(), 1):
+        if not raw.isascii():
+            byte = next(ord(char) - 0xDC00 for char in raw if not char.isascii())
+            raise UsageError(f"{path}:{lineno}: non-ASCII byte {byte:#04x}")
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -253,8 +258,17 @@ def _spec_from(values: dict[str, object]) -> ExperimentSpec:
 # --- subcommand handlers --------------------------------------------------------
 
 
+def _make_dir(path: str | Path) -> Path:
+    """``path`` as a directory, made with its parents if missing.  A command
+    makes its outputs before it reads or simulates anything, so an output
+    that cannot be made costs no run."""
+    path = Path(path)
+    path.mkdir(parents=True, exist_ok=True)
+    return path
+
+
 def _open_output(files: contextlib.ExitStack, path: Path) -> IO[str]:
-    path.parent.mkdir(parents=True, exist_ok=True)
+    _make_dir(path.parent)
     return files.enter_context(open(path, "w", encoding="ascii", newline="\n"))
 
 
@@ -271,12 +285,13 @@ def _cmd_generate(args: argparse.Namespace) -> int:
         cfg = SynthConfig(**values)
     except ValueError as exc:  # bad option values, found before any file is opened
         raise UsageError(str(exc)) from exc
-    arrays, injected = generate_synthetic_arrays(cfg)
     out_path = Path(args.out)
     with contextlib.ExitStack() as files:
         # the sidecar opens first, so that a bad sidecar path writes nothing
         sidecar = _open_output(files, Path(args.sidecar)) if args.sidecar else None
-        write_trace_csv(arrays, _open_output(files, out_path))
+        out = _open_output(files, out_path)
+        arrays, injected = generate_synthetic_arrays(cfg)
+        write_trace_csv(arrays, out)
         if sidecar is not None:
             write_sidecar(arrays, injected, sidecar)
     meta = flow_table_meta(arrays)  # every generated flow has packets
@@ -294,8 +309,9 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         params = AnalysisParams(**values)
     except ValueError as exc:  # bad parameter values, found before any trace is read
         raise UsageError(str(exc)) from exc
+    out_dir = _make_dir(args.out)
     arrays = load_trace_arrays(args.trace)
-    analyze_trace(arrays, args.out, params)
+    analyze_trace(arrays, out_dir, params)
     print(f"analysis written to {args.out}")
     return 0
 
@@ -311,11 +327,10 @@ def _cmd_run(args: argparse.Namespace) -> int:
         raise UsageError(
             f"--algo {spec.algorithm} does not read " + ", ".join(f"--{f}" for f in flags)
         )
+    out_dir = _make_dir(args.out)
     _bind("load_trace_arrays", "run_experiment", "result_rows", "RESULT_COLUMNS", "write_csv")
     arrays = load_trace_arrays(args.trace)
     rows = result_rows(spec, run_experiment(arrays, spec))
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     write_csv(out_dir / "results.csv", RESULT_COLUMNS, rows)
     print(f"{len(rows)} result rows written to {out_dir / 'results.csv'}")
     return 0
@@ -324,11 +339,10 @@ def _cmd_run(args: argparse.Namespace) -> int:
 def _cmd_grid_hybrid(args: argparse.Namespace) -> int:
     values = _resolve(args, GRID_DETECTOR_OPTS)
     spec = _spec_from({"hh_fractions": GRID_HH_FRACTIONS, **values, "algorithm": "hybrid"})
+    out_dir = _make_dir(args.out)
     _bind("load_trace_arrays", "grid_search_hybrid", "result_rows", "RESULT_COLUMNS", "write_csv")
     arrays = load_trace_arrays(args.trace)
     results, best = grid_search_hybrid(arrays, spec)
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     write_csv(out_dir / "results.csv", RESULT_COLUMNS, result_rows(spec, results))
     write_csv(out_dir / "best_x.csv", ("buckets", "best_hh_fraction", "mean_accuracy"), best)
     print(f"grid search written to {out_dir}")
@@ -349,7 +363,10 @@ def _cmd_validate_lemma(args: argparse.Namespace) -> int:
     )
     models: dict[str, CheckModel] = {}
     if args.model:
-        raw = json.loads(Path(args.model).read_text(encoding="ascii"))
+        try:
+            raw = json.loads(Path(args.model).read_text(encoding="ascii"))
+        except ValueError as exc:  # not ASCII, or not JSON
+            raise ValueError(f"{args.model}: {exc}") from exc
         if not isinstance(raw, dict):
             raise ValueError(f"{args.model}: expected a JSON object")
         try:
@@ -365,6 +382,7 @@ def _cmd_validate_lemma(args: argparse.Namespace) -> int:
             models[name] = presets[name]
         else:
             raise UsageError(f"unknown preset {name!r}; have {', '.join(sorted(presets))}")
+    out_dir = _make_dir(args.out) if args.out else None
     rows = []
     for name, model in models.items():
         result = empirical_guarantee(model, values["trials"], values["seed"])
@@ -379,9 +397,7 @@ def _cmd_validate_lemma(args: argparse.Namespace) -> int:
                 f"mean {result.mean_checks:.2f})"
             )
         rows.append({"name": name, **dataclasses.asdict(result)})
-    if args.out:
-        out_dir = Path(args.out)
-        out_dir.mkdir(parents=True, exist_ok=True)
+    if out_dir is not None:
         columns = ("name", *(field.name for field in dataclasses.fields(GuaranteeResult)))
         write_csv(out_dir / "check_guarantee.csv", columns, rows)
     return 0

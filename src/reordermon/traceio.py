@@ -13,7 +13,9 @@ gives the per-packet view the reference detectors consume, and
 ``flow_steps`` the columnar out-of-order test the oracle and the batch
 paths read.  Both readers and ``PacketArrays.from_records`` number flows
 with one constructor, in the order of each flow's first row; the generator
-keeps its own order, in which it writes the sidecar.
+keeps its own order, in which it writes the sidecar.  A ``PacketArrays``
+refuses, when built, what no pass can judge; ``write_trace_csv`` refuses
+what the format cannot hold, and the readers name the line they refuse.
 """
 
 from __future__ import annotations
@@ -43,12 +45,17 @@ class TraceMeta:
     prefix_count: int
 
 
-@dataclass
+@dataclass(frozen=True)
 class PacketArrays:
     """Column-oriented packet trace.
 
     ``flow_id`` indexes the per-flow tables; packets of one flow share one
-    id.  Timestamps are nondecreasing in packet order.
+    id.  Every pass compares a packet with its flow predecessor, so a trace
+    is checked once, when built: a ``ValueError`` names the first packet
+    with a negative payload_len (it could break DEF1 and DEF2 at once), a
+    ts that is not finite or is below the one before (its gap has no
+    inter-arrival bin), or a flow_id outside the flow tables.  Frozen: a
+    column is swapped only by ``dataclasses.replace``, which checks again.
     """
 
     ts: np.ndarray
@@ -59,6 +66,27 @@ class PacketArrays:
     flow_dst_ip: np.ndarray
     flow_src_port: np.ndarray
     flow_dst_port: np.ndarray
+
+    def __post_init__(self) -> None:
+        ts, payload_len, flow_id = self.ts, self.payload_len, self.flow_id
+        flows = (self.flow_src_ip, self.flow_dst_ip, self.flow_src_port, self.flow_dst_port)
+        for kind, columns in (("packet", (ts, self.seq, payload_len, flow_id)), ("flow", flows)):
+            if len({len(column) for column in columns}) > 1:
+                raise ValueError(f"the {kind} columns differ in length")
+        n_flows = len(self.flow_src_ip)
+        bad = (payload_len < 0) | ~np.isfinite(ts) | (flow_id < 0) | (flow_id >= n_flows)
+        bad[1:] |= ts[1:] < ts[:-1]
+        if bad.any():
+            i = int(np.argmax(bad))
+            t = float(ts[i])
+            if payload_len[i] < 0:
+                raise ValueError(f"packet {i} has negative payload_len {int(payload_len[i])}")
+            if not math.isfinite(t):
+                raise ValueError(f"packet {i} has non-finite ts {t!r}")
+            if i and t < ts[i - 1]:
+                before = float(ts[i - 1])
+                raise ValueError(f"packet {i} has ts {t!r}, below the ts {before!r} before it")
+            raise ValueError(f"packet {i} has flow_id {int(flow_id[i])}, outside [0, {n_flows})")
 
     def __len__(self) -> int:
         return len(self.ts)
@@ -85,6 +113,7 @@ class PacketArrays:
 
     @classmethod
     def from_records(cls, records: Iterable[PacketRecord]) -> "PacketArrays":
+        """The trace of ``records``, its flows numbered by first record."""
         seqs, lens, tss, src_ips, dst_ips, src_ports, dst_ports = ([] for _ in range(7))
         for rec in records:
             flow = rec.flow
@@ -95,19 +124,9 @@ class PacketArrays:
             dst_ips.append(flow.dst_ip)
             src_ports.append(flow.src_port)
             dst_ports.append(flow.dst_port)
-        payload_len = np.asarray(lens, dtype=np.int64)
-        # a negative payload could make one packet break DEF1 and DEF2 at once
-        negative = np.flatnonzero(payload_len < 0)
-        if len(negative):
-            raise ValueError(f"record {negative[0]}: negative payload_len {lens[negative[0]]}")
-        ts = np.asarray(tss, dtype=np.float64)
-        # a NaN gap has no inter-arrival bin, and no trace file holds one
-        non_finite = np.flatnonzero(~np.isfinite(ts))
-        if len(non_finite):
-            raise ValueError(f"record {non_finite[0]}: non-finite ts {tss[non_finite[0]]!r}")
-        columns = (seqs, src_ips, dst_ips, src_ports, dst_ports)
-        seq, *fields = (np.asarray(values, dtype=np.int64) for values in columns)
-        return _from_columns(ts, seq, payload_len, *fields)
+        columns = (seqs, lens, src_ips, dst_ips, src_ports, dst_ports)
+        seq, payload_len, *fields = (np.asarray(values, dtype=np.int64) for values in columns)
+        return _from_columns(np.asarray(tss, dtype=np.float64), seq, payload_len, *fields)
 
     def subset(self, index: np.ndarray) -> "PacketArrays":
         """The packets picked by ``index`` (a mask or sorted positions), in
@@ -199,23 +218,7 @@ def flow_steps(arrays: PacketArrays) -> tuple[np.ndarray, np.ndarray]:
     ``ReorderDef`` value of the definition it breaks against the packet
     before it in its flow (1: seq below the previous seq; 2: seq beyond
     the previous seq + payload_len), else 0.  The two exclude each other
-    because payload_len is never negative.  A ``ValueError`` names the first
-    packet with a negative payload_len, or with a ts that is not finite or
-    is below the ts before it: such a ts gives a gap no inter-arrival bin
-    holds, and the batch paths, which read staleness per flow, would then
-    leave other records than the per-packet paths."""
-    ts = arrays.ts
-    bad = arrays.payload_len < 0
-    bad |= ~np.isfinite(ts)
-    bad[1:] |= ts[1:] < ts[:-1]
-    if bad.any():
-        i = int(np.argmax(bad))
-        t = float(ts[i])
-        if arrays.payload_len[i] < 0:
-            raise ValueError(f"packet {i} has negative payload_len {int(arrays.payload_len[i])}")
-        if not math.isfinite(t):
-            raise ValueError(f"packet {i} has non-finite ts {t!r}")
-        raise ValueError(f"packet {i} has ts {t!r}, below the ts {float(ts[i - 1])!r} before it")
+    because ``PacketArrays`` holds no negative payload_len."""
     order = group_order(arrays.flow_id, arrays.flow_count)
     fid = arrays.flow_id[order]
     seq = arrays.seq[order]
@@ -514,28 +517,23 @@ MAX_TS = 1e16
 
 def _check_writable(arrays: PacketArrays) -> None:
     """Raise the ``ValueError`` of ``write_trace_csv``, naming the first bad
-    packet, else the first bad flow."""
+    packet, else the first bad flow: format checks only, as every
+    ``PacketArrays`` holds finite, nondecreasing ts."""
     ts = arrays.ts
-    decreasing = np.zeros(len(ts), dtype=bool)
-    decreasing[1:] = ts[1:] < ts[:-1]
     packet_ints = [(name, getattr(arrays, name), 32) for name in ("seq", "payload_len")]
     flow_ints = [
         (name, getattr(arrays, f"flow_{name}"), bits)
         for name, bits in (("src_ip", 32), ("dst_ip", 32), ("src_port", 16), ("dst_port", 16))
     ]
-    # ~(ts < MAX_TS) holds for NaN too
-    bad = decreasing | np.signbit(ts) | ~(ts < MAX_TS) | _out_of_range(packet_ints)
+    bad = np.signbit(ts) | (ts >= MAX_TS) | _out_of_range(packet_ints)
     bad |= arrays.payload_len == 0
     if bad.any():
         i = int(np.argmax(bad))
         t = float(ts[i])
-        if not t < MAX_TS:
+        if t >= MAX_TS:
             raise ValueError(f"packet {i} has ts {t!r}; the trace format holds ts below 1e16")
         if math.copysign(1.0, t) < 0:
             raise ValueError(f"packet {i} has negative ts {t!r}")
-        if decreasing[i]:
-            before = float(ts[i - 1])
-            raise ValueError(f"packet {i} has ts {t!r}, below the ts {before!r} before it")
         _raise_out_of_range(f"packet {i}", packet_ints, i)
         raise ValueError(f"packet {i} has payload_len 0; the reader drops a zero-payload row")
     bad = _out_of_range(flow_ints)
@@ -566,12 +564,12 @@ def write_trace_csv(arrays: PacketArrays, dest: IO[str]) -> None:
     Each row is the text of
     ``f"{ts!r},{src_ip},{dst_ip},{src_port},{dst_port},{seq},{payload_len}\\n"``
     with the addresses as dotted quads.  Raises ``ValueError``, before
-    anything is written, for a trace the reader would refuse or read back
-    otherwise: a ts outside [0, 1e16) (-0.0 included, written with its
-    sign) or below the one before, a seq or payload_len outside [0, 2^32),
-    a zero payload_len, an address outside [0, 2^32) or a port outside
-    [0, 2^16).  The reader numbers the flows in the order of their first
-    row, so the flow ids and tables it returns are those of
+    anything is written, for a trace the format cannot hold (the reader
+    would refuse it or read it back otherwise): a ts outside [0, 1e16)
+    (-0.0 included, written with its sign), a seq or payload_len outside
+    [0, 2^32), a zero payload_len, an address outside [0, 2^32) or a port
+    outside [0, 2^16).  The reader numbers the flows in the order of their
+    first row, so the flow ids and tables it returns are those of
     ``PacketArrays.from_records(arrays.iter_records())``.
     """
     from . import csvtext  # compiled only by the commands that write a trace

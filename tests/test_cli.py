@@ -273,14 +273,18 @@ LEMMA_MODEL = {
         ({"bucket": None}, "missing key(s): bucket"),
         ({"p_min": None, "delta": None}, "missing key(s): p_min, delta"),
         ({"buckets": 1}, "unknown key(s): buckets"),
+        # a file that is not JSON at all
+        ("{'bucket': 0}", "Expecting property name enclosed in double quotes: line 1 column 2"),
     ],
 )
 def test_validate_lemma_model_keys_are_checked(
-    change: dict, message: str, tmp_path: Path, capsys: pytest.CaptureFixture
+    change: dict | str, message: str, tmp_path: Path, capsys: pytest.CaptureFixture
 ) -> None:
-    model = {**LEMMA_MODEL, **change}
+    if isinstance(change, dict):
+        model = {**LEMMA_MODEL, **change}
+        change = json.dumps({k: v for k, v in model.items() if v is not None})
     path = tmp_path / "model.json"
-    path.write_text(json.dumps({k: v for k, v in model.items() if v is not None}))
+    path.write_text(change)
     out = tmp_path / "lemma"
     assert run_cli("validate-lemma", "--model", str(path), "--trials", "5", "--out", str(out)) == 2
     captured = capsys.readouterr()
@@ -313,6 +317,8 @@ def test_bad_flag_value_is_usage_error(
     hybrid_config.write_text("hh-fraction = 0.3\nfilter-by-prefix = true\n")
     bad_config = tmp_path / "bad.conf"
     bad_config.write_text("bogus-key = 1\n")
+    latin_config = tmp_path / "latin.conf"
+    latin_config.write_bytes(b"seeds = 0\nmode = caf\xe9\n")
     # parameter values are checked before the trace is read: a missing
     # trace would otherwise exit 2
     for command, flags, message in (
@@ -325,6 +331,7 @@ def test_bad_flag_value_is_usage_error(
         ("grid-hybrid", ("--seeds", "0,-2"), "seeds must be >= 0"),
         ("run", ("--buckets", "32,32"), "--buckets: 32 is listed twice in '32,32'"),
         ("run", ("--config", str(bad_config)), "unknown config keys: bogus-key"),
+        ("run", ("--config", str(latin_config)), f"{latin_config}:2: non-ASCII byte 0xe9"),
         ("run", ("--mode", "bogus"), "--mode: mode must be 'count' or 'fraction'"),
         ("run", ("--algo", "hh", "--buckets", "1", "--d", "4"),
          "hh with 1 buckets builds no HH table (needs 4 buckets, one per stage)"),
@@ -488,16 +495,22 @@ def test_generate_sidecar_that_cannot_be_opened_writes_no_trace(
     ids=lambda argv: argv[0],
 )
 def test_output_that_cannot_be_created_is_data_error(
-    argv: tuple[str, ...], trace_path: Path, tmp_path: Path, capsys: pytest.CaptureFixture
+    argv: tuple[str, ...], trace_path: Path, tmp_path: Path, capsys: pytest.CaptureFixture,
+    monkeypatch: pytest.MonkeyPatch,
 ) -> None:
     # an existing file where the output directory should go
     blocker = tmp_path / "file"
     blocker.write_text("")
+    calls = []
+    for name in ("run_experiment", "grid_search_hybrid", "analyze_trace", "empirical_guarantee",
+                 "generate_synthetic_arrays"):
+        monkeypatch.setattr(cli, name, lambda *args, name=name: calls.append(name))
     code = run_cli(*(arg.format(trace=trace_path, file=blocker) for arg in argv))
     err = capsys.readouterr().err
     assert code == 2
     assert err.startswith("error: ") and err.count("\n") == 1
     assert blocker.read_text() == ""
+    assert calls == []  # the output is made before any work is done
 
 
 @pytest.mark.parametrize(

@@ -25,10 +25,7 @@ from reordermon.model import (
     ip_to_int,
     is_out_of_order,
 )
-from reordermon.heavyhitter import HHParams, ReorderHeavyHitter
-from reordermon.hybrid import HybridDetector, HybridParams
-from reordermon.oracle import compute_stats, interarrival_histogram
-from reordermon.sampling import FlowSamplingArray, SamplerParams
+from reordermon.oracle import compute_stats
 from reordermon.traceio import (
     MAX_FLOW_SIZE,
     PacketArrays,
@@ -188,11 +185,92 @@ def test_arrays_round_trip_through_records() -> None:
     assert len(arrays) == 120
 
 
+PACKET_COLUMNS = ("ts", "seq", "payload_len", "flow_id")
+FLOW_COLUMNS = ("flow_src_ip", "flow_dst_ip", "flow_src_port", "flow_dst_port")
+
+
+@st.composite
+def raw_columns(draw) -> dict[str, np.ndarray]:
+    """``PacketArrays`` columns drawn with no regard for its rule: float ts
+    (sorted most of the time), now and then one of them NaN or infinite,
+    one payload_len -1 or -200, or one flow_id -1 or n_flows, and now and
+    then one column a row longer or shorter."""
+    n_flows = draw(st.integers(0, 4))
+    n = draw(st.integers(0, 12))
+    sizes = dict.fromkeys(PACKET_COLUMNS, n) | dict.fromkeys(FLOW_COLUMNS, n_flows)
+    if draw(st.integers(0, 9)) == 0:
+        name = draw(st.sampled_from(sorted(sizes)))
+        sizes[name] = max(sizes[name] + draw(st.sampled_from([-1, 1])), 0)
+
+    def column(name: str, strategy, bad=None, dtype=np.int64) -> np.ndarray:
+        values = draw(st.lists(strategy, min_size=sizes[name], max_size=sizes[name]))
+        if bad is not None and values and draw(st.integers(0, 3)) == 0:
+            values[draw(st.integers(0, len(values) - 1))] = draw(bad)
+        return np.array(values, dtype=dtype)
+
+    ts = column("ts", st.floats(allow_nan=False, allow_infinity=False),
+                st.sampled_from([math.nan, math.inf, -math.inf]), np.float64)
+    if draw(st.integers(0, 3)):
+        ts = np.sort(ts)  # NaN goes last
+    return {
+        "ts": ts,
+        # multiples of 100 repeat seqs and hit the expected next seq exactly
+        "seq": column("seq", st.integers(0, 8)) * 100,
+        "payload_len": column("payload_len", st.sampled_from([0, 100, 200, 300]),
+                              st.sampled_from([-1, -200])),
+        "flow_id": column("flow_id", st.integers(0, max(n_flows - 1, 0)),
+                          st.sampled_from([-1, n_flows])),
+        "flow_src_ip": 0x0A000000 + column("flow_src_ip", st.integers(0, 2)),
+        "flow_dst_ip": column("flow_dst_ip", st.just(0xAC100001)),
+        "flow_src_port": column("flow_src_port", st.just(443)),
+        "flow_dst_port": column("flow_dst_port", st.integers(10_000, 10_003)),
+    }
+
+
+def first_broken(columns: dict[str, np.ndarray]) -> str | None:
+    """The error the trace rule gives for these columns, from a walk one
+    packet at a time; None if they follow it."""
+    for kind, names in (("packet", PACKET_COLUMNS), ("flow", FLOW_COLUMNS)):
+        if len({len(columns[name]) for name in names}) > 1:
+            return f"the {kind} columns differ in length"
+    n_flows = len(columns["flow_src_ip"])
+    prev = -math.inf
+    rows = zip(*(columns[name].tolist() for name in ("ts", "payload_len", "flow_id")))
+    for i, (ts, length, fid) in enumerate(rows):
+        if length < 0:
+            return f"packet {i} has negative payload_len {length}"
+        if not math.isfinite(ts):
+            return f"packet {i} has non-finite ts {ts!r}"
+        if ts < prev:
+            return f"packet {i} has ts {ts!r}, below the ts {prev!r} before it"
+        if not 0 <= fid < n_flows:
+            return f"packet {i} has flow_id {fid}, outside [0, {n_flows})"
+        prev = ts
+    return None
+
+
+def example_columns(ts, flow_id=None, n_flows=1) -> dict[str, np.ndarray]:
+    """Columns of a few packets at ``ts`` in flows of one /24, of 100 bytes
+    each, their seqs 100 apart."""
+    n = len(ts)
+    hosts = np.arange(n_flows, dtype=np.int64)
+    return {
+        "ts": np.array(ts, dtype=np.float64),
+        "seq": 1000 + 100 * np.arange(n, dtype=np.int64),
+        "payload_len": np.full(n, 100, dtype=np.int64),
+        "flow_id": np.array(flow_id or [0] * n, dtype=np.int64),
+        "flow_src_ip": 0x0A000001 + hosts,
+        "flow_dst_ip": np.full(n_flows, 0xAC100001, dtype=np.int64),
+        "flow_src_port": np.full(n_flows, 443, dtype=np.int64),
+        "flow_dst_port": 10_000 + hosts,
+    }
+
+
 def test_from_records_rejects_negative_payload() -> None:
     # with payload -200, seq 900 after seq 1000 would break DEF1 and DEF2 at once
     flow = FlowId(0x0A000001, 0xAC100001, 443, 50_000)
     records = [PacketRecord(flow, 1000, -200, 0.0), PacketRecord(flow, 900, 100, 0.1)]
-    with pytest.raises(ValueError, match="record 0: negative payload_len -200"):
+    with pytest.raises(ValueError, match=re.escape("packet 0 has negative payload_len -200")):
         PacketArrays.from_records(records)
 
 
@@ -201,54 +279,76 @@ def test_from_records_rejects_non_finite_ts(ts: float) -> None:
     # a NaN gap has no inter-arrival bin; parse_trace refuses such a row too
     flow = FlowId(0x0A000001, 0xAC100001, 443, 10000)
     records = [PacketRecord(flow, 1000 + 100 * i, 100, t) for i, t in enumerate([0.0, ts, 1.0])]
-    with pytest.raises(ValueError, match=re.escape(f"record 1: non-finite ts {ts!r}")):
+    with pytest.raises(ValueError, match=re.escape(f"packet 1 has non-finite ts {ts!r}")):
         PacketArrays.from_records(records)
 
 
+@settings(max_examples=400, deadline=None)
+@given(columns=raw_columns())
+# after this ts the per-packet array would leave flow 1 resident with n=1,
+# but the batch array flow 0 with n=0
+@example(columns=example_columns([0.0, 0.5, 5.0, 0.7], flow_id=[0, 1, 1, 1], n_flows=2))
+# group_order would cast 257 to a uint8 and sort it as flow 1
+@example(columns=example_columns([0.0, 0.1, 0.2, 0.3], flow_id=[0, 257, 0, 1], n_flows=2))
+def test_packet_arrays_refuse_what_no_pass_can_judge(columns: dict[str, np.ndarray]) -> None:
+    """A trace is built exactly when its columns follow the rule, else the
+    error names the first bad packet, as it does for ``from_records`` of the
+    same packets; every built trace has the per-packet walk's steps."""
+    message = first_broken(columns)
+    if message is None:
+        arrays = PacketArrays(**columns)
+        order, step = flow_steps(arrays)
+        assert np.array_equal(order, np.argsort(arrays.flow_id, kind="stable"))
+        assert step.tolist() == np.asarray(reference_steps(arrays))[order].tolist()
+        return
+    with pytest.raises(ValueError, match=re.escape(message) + "$"):
+        PacketArrays(**columns)
+    flows = list(zip(*(columns[name].tolist() for name in FLOW_COLUMNS)))
+    if "length" not in message and all(0 <= fid < len(flows) for fid in columns["flow_id"]):
+        records = [
+            PacketRecord(FlowId(*flows[fid]), seq, length, ts)
+            for ts, seq, length, fid in zip(*(columns[name].tolist() for name in PACKET_COLUMNS))
+        ]
+        with pytest.raises(ValueError, match=re.escape(message) + "$"):
+            PacketArrays.from_records(records)
+
+
+def test_a_built_trace_changes_only_through_a_checked_replace() -> None:
+    arrays = PacketArrays(**example_columns([0.0, 0.5, 1.0]))
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        arrays.ts = np.array([1.0, 0.5, 0.0])
+    with pytest.raises(ValueError, match=re.escape("packet 1 has ts 0.5, below the ts 1.0")):
+        dataclasses.replace(arrays, ts=np.array([1.0, 0.5, 0.0]))
+
+
 def test_flow_steps_refuses_a_negative_payload() -> None:
-    # a trace built straight from columns is unchecked; flow_steps, which the
-    # oracle and every batch path read, refuses it as from_records does
-    arrays = dataclasses.replace(
-        one_flow([0.0, 0.1]), payload_len=np.array([-200, 100], dtype=np.int64)
-    )
-    array = FlowSamplingArray(SamplerParams(n_buckets=4))
-    for run in (flow_steps, compute_stats, array.process_trace):
-        with pytest.raises(ValueError, match=re.escape("packet 0 has negative payload_len -200")):
-            run(arrays)
+    # flow_steps, which the oracle and every batch path read, is never handed
+    # such a trace: swapping in the column refuses it as from_records does
+    arrays = PacketArrays(**example_columns([0.0, 0.1]))
+    with pytest.raises(ValueError, match=re.escape("packet 0 has negative payload_len -200")):
+        dataclasses.replace(arrays, payload_len=np.array([-200, 100], dtype=np.int64))
+    assert flow_steps(arrays)[1].tolist() == [-1, 0]
 
 
-def ts_that_no_pass_can_judge() -> list[tuple[PacketArrays, str]]:
-    """A NaN ts, whose gaps would be binned at -2^63, and a decreasing one,
-    after which the per-packet array leaves B resident with n=1 but the
-    batch array A with n=0; each with the error that names its packet."""
-    a = FlowId(0x0A000001, 0xAC100001, 443, 10000)
-    b = FlowId(0x0A000002, 0xAC100001, 443, 10001)  # in a's /24
-    decreasing = PacketArrays.from_records(
-        [PacketRecord(flow, 1000 + 100 * i, 100, ts)
-         for i, (flow, ts) in enumerate([(a, 0.0), (b, 0.5), (b, 5.0), (b, 0.7)])]
-    )
-    return [
-        (one_flow([0.0, math.nan, 1.0]), "packet 1 has non-finite ts nan"),
-        (decreasing, "packet 3 has ts 0.7, below the ts 5.0 before it"),
-    ]
-
-
-@pytest.mark.parametrize("case", [0, 1], ids=["nan", "decreasing"])
-def test_flow_steps_refuses_a_ts_that_is_not_finite_or_decreases(case: int) -> None:
-    arrays, message = ts_that_no_pass_can_judge()[case]
-    array = SamplerParams(n_buckets=1, stale_after=1.0, report_all=True)
-    hh = HHParams(n_stages=1, buckets_per_stage=1)
-    runs = (
-        flow_steps,
-        compute_stats,
-        interarrival_histogram,
-        lambda t: FlowSamplingArray(array).process_trace(t),
-        lambda t: ReorderHeavyHitter(hh).process_trace(t),
-        lambda t: HybridDetector(HybridParams(array=array, hh=hh)).process_trace(t),
-    )
-    for run in runs:
-        with pytest.raises(ValueError, match=re.escape(message)):
-            run(arrays)
+@pytest.mark.parametrize(
+    "ts, message",
+    [
+        # its gaps would be binned at -2^63
+        ([0.0, math.nan, 1.0], "packet 1 has non-finite ts nan"),
+        # after it the per-packet array would leave flow 1 resident with n=1,
+        # but the batch array flow 0 with n=0
+        ([0.0, 0.5, 5.0, 0.7], "packet 3 has ts 0.7, below the ts 5.0 before it"),
+    ],
+    ids=["nan", "decreasing"],
+)
+def test_flow_steps_refuses_a_ts_that_is_not_finite_or_decreases(
+    ts: list[float], message: str
+) -> None:
+    flow_id = [0, 1, 1, 1][: len(ts)]
+    arrays = PacketArrays(**example_columns(list(range(len(ts))), flow_id=flow_id, n_flows=2))
+    with pytest.raises(ValueError, match=re.escape(message)):
+        dataclasses.replace(arrays, ts=np.array(ts, dtype=np.float64))
+    assert flow_steps(arrays)[1].tolist() == [-1, -1] + [0] * (len(ts) - 2)
 
 
 def reference_steps(arrays: PacketArrays) -> list[int]:
@@ -407,16 +507,20 @@ def test_generated_timestamps_take_the_exact_path() -> None:
 
 @st.composite
 def any_traces(draw) -> PacketArrays:
-    """Packet columns with any float64 timestamps and full-range fields."""
+    """Traces with any finite float64 timestamps, sorted, and full-range
+    fields: every trace ``PacketArrays`` builds, many of which the trace
+    format cannot hold."""
     n_flows = draw(st.integers(0, 4))
     n = draw(st.integers(0, 12)) if n_flows else 0
     u32 = st.integers(0, 2**32 - 1)
+    # -0.0, negative ts, 1e16 and up: what the writer refuses
+    edges = st.sampled_from([-0.0, 0.0, -1.5, float(np.nextafter(1e16, 0.0)), 1e16, 1e300])
 
     def column(strategy, size, dtype=np.int64):
         return np.array(draw(st.lists(strategy, min_size=size, max_size=size)), dtype=dtype)
 
     return PacketArrays(
-        ts=column(st.floats(), n, np.float64),
+        ts=np.sort(column(edges | st.floats(allow_nan=False, allow_infinity=False), n, np.float64)),
         seq=column(st.sampled_from([0, 9, 10, 2**32 - 1]) | u32, n),
         payload_len=column(st.sampled_from([0, 1, 1460, 2**32 - 1]) | u32, n),
         flow_id=column(st.integers(0, max(n_flows - 1, 0)), n),
@@ -445,12 +549,12 @@ def format_holds(arrays: PacketArrays) -> bool:
 
 
 def held_traces():
-    """``any_traces()`` brought inside the trace format: ts made finite,
-    non-negative and sorted, payload_len at least 1."""
+    """``any_traces()`` brought inside the trace format: ts made
+    non-negative, below 1e16 and sorted, payload_len at least 1."""
 
     def fit(arrays: PacketArrays) -> PacketArrays:
         ts = np.abs(arrays.ts)
-        ts[~(ts < traceio.MAX_TS)] = 0.0  # NaN too
+        ts[ts >= traceio.MAX_TS] = 0.0
         return dataclasses.replace(
             arrays, ts=np.sort(ts), payload_len=np.maximum(arrays.payload_len, 1)
         )
@@ -539,13 +643,8 @@ def test_write_trace_csv_empty_trace_and_negative_field() -> None:
 
 
 def one_flow(ts: list[float]) -> PacketArrays:
-    """One flow's packets at ``ts``; the ts column is set after
-    ``from_records``, which refuses a non-finite one."""
-    flow = FlowId(0x0A000001, 0xAC100001, 443, 10000)
-    arrays = PacketArrays.from_records(
-        [PacketRecord(flow, 1000 + 100 * i, 100, 0.0) for i in range(len(ts))]
-    )
-    return dataclasses.replace(arrays, ts=np.array(ts, dtype=np.float64))
+    """One flow's packets at ``ts``."""
+    return PacketArrays(**example_columns(ts))
 
 
 def test_write_trace_csv_refuses_ts_from_1e16(tmp_path) -> None:
@@ -555,7 +654,8 @@ def test_write_trace_csv_refuses_ts_from_1e16(tmp_path) -> None:
     with open(path, "w", encoding="ascii", newline="\n") as out:
         write_trace_csv(one_flow([0.5, below]), out)
     assert parse_trace(path)[0].ts.tolist() == [0.5, below]
-    for ts in (1e16, 1e17, math.inf, math.nan):
+    # an infinite or NaN ts is refused when the trace is built
+    for ts in (1e16, 1e17, float(np.finfo(np.float64).max)):
         buf = io.StringIO()
         with pytest.raises(ValueError, match=re.escape(f"packet 2 has ts {ts!r};")):
             write_trace_csv(one_flow([0.5, below, ts, ts]), buf)
@@ -568,6 +668,7 @@ def test_write_trace_csv_refuses_ts_from_1e16(tmp_path) -> None:
         # the reader refuses each of these
         ({"ts": [-0.5, 1.0]}, "packet 0 has negative ts -0.5"),
         ({"ts": [-0.0, 1.0]}, "packet 0 has negative ts -0.0"),  # written as "-0.0"
+        # and this one is refused when the trace is built
         ({"ts": [2.0, 1.0]}, "packet 1 has ts 1.0, below the ts 2.0 before it"),
         ({"seq": [2**32, 1100]}, "packet 0 has seq 4294967296;"),
         ({"seq": [1000, -3]}, "packet 1 has negative seq -3"),
@@ -578,23 +679,21 @@ def test_write_trace_csv_refuses_ts_from_1e16(tmp_path) -> None:
         # and reads this one back as 10.0.0.1
         ({"flow_src_ip": [2**32 + 0x0A000001]}, "flow 0 has src_ip 4462739457;"),
         # the first bad packet is named, and a bad packet before a bad flow
-        ({"ts": [1.0, 0.5], "seq": [-1, 1100], "flow_src_port": [-1]}, "packet 0 has negative"),
+        ({"ts": [1.0, 1e16], "seq": [-1, 1100], "flow_src_port": [-1]}, "packet 0 has negative"),
         ({"seq": [1000, 2**32], "flow_dst_port": [2**16]}, "packet 1 has seq"),
         # the reader would drop a zero-payload row, named after the ts faults
         ({"payload_len": [100, 0]}, "packet 1 has payload_len 0;"),
-        ({"ts": [1.0, 0.5], "payload_len": [0, 100]}, "packet 0 has payload_len 0;"),
+        ({"ts": [1.0, 1e16], "payload_len": [0, 100]}, "packet 0 has payload_len 0;"),
     ],
 )
 def test_write_trace_csv_refuses_what_the_format_cannot_hold(
     columns: dict[str, list], message: str
 ) -> None:
     arrays = one_flow([0.5, 1.5])
-    for name, values in columns.items():
-        dtype = getattr(arrays, name).dtype
-        arrays = dataclasses.replace(arrays, **{name: np.array(values, dtype=dtype)})
+    columns = {name: np.array(v, dtype=getattr(arrays, name).dtype) for name, v in columns.items()}
     buf = io.StringIO()
     with pytest.raises(ValueError, match=re.escape(message)):
-        write_trace_csv(arrays, buf)
+        write_trace_csv(dataclasses.replace(arrays, **columns), buf)
     assert buf.getvalue() == ""  # not even the header
 
 
